@@ -126,54 +126,82 @@ func fromNetworkOpts(ctx context.Context, nw *logic.Network, opt BuildOptions) (
 	if opt.Reorder.Enable {
 		next = opt.Reorder.threshold(opt.Budget)
 	}
-	order, err := nw.TopoOrder()
+	err := build(ctx, m, nw, nb.Fn, logic.InvalidNode, False, func(f Ref) error {
+		nb.roots = append(nb.roots, f)
+		if !opt.Reorder.Enable || m.live < next {
+			return nil
+		}
+		if _, err := m.Reorder(nb.roots, ReorderOptions{
+			MaxGrowth: opt.Reorder.MaxGrowth,
+			MaxVars:   opt.Reorder.MaxVars,
+		}); err != nil {
+			return err
+		}
+		next = 2 * m.live
+		if th := opt.Reorder.threshold(opt.Budget); next < th {
+			next = th
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
+	return nb, nil
+}
+
+// build folds every gate and constant of nw, in topological order, into
+// fn, which must already hold the source functions. Node cut, when valid,
+// takes the function cutFn instead of its own. Each new function is
+// handed to built, which may reorder the manager.
+func build(ctx context.Context, m *Manager, nw *logic.Network, fn map[logic.NodeID]Ref, cut logic.NodeID, cutFn Ref, built func(Ref) error) error {
+	order, err := nw.TopoOrder()
+	if err != nil {
+		return err
+	}
+	var args []Ref
 	for _, id := range order {
 		if err := ctx.Err(); err != nil {
-			return nil, &BudgetError{Reason: err.Error(), Nodes: m.Size(), Steps: m.Steps()}
+			return &BudgetError{Reason: err.Error(), Nodes: m.Size(), Steps: m.Steps()}
 		}
-		n := nw.Node(id)
-		var f Ref
-		switch n.Type {
-		case logic.Const0:
-			f = False
-		case logic.Const1:
-			f = True
-		default:
-			args := make([]Ref, len(n.Fanin))
-			for i, fi := range n.Fanin {
-				g, ok := nb.Fn[fi]
+		f := cutFn
+		if id != cut {
+			n := nw.Node(id)
+			args = args[:0]
+			for _, fi := range n.Fanin {
+				g, ok := fn[fi]
 				if !ok {
-					return nil, fmt.Errorf("bdd: fanin %d of %q not yet built", fi, n.Name)
+					return fmt.Errorf("bdd: fanin %d of %q not yet built", fi, n.Name)
 				}
-				args[i] = g
+				args = append(args, g)
 			}
-			f, err = applyGate(m, n.Type, args)
-			if err != nil {
-				return nil, err
+			if f, err = logic.Fold(refs{m}, n.Type, args); err != nil {
+				return err
+			}
+			if err := m.Err(); err != nil {
+				return err
 			}
 		}
-		if err := m.Err(); err != nil {
-			return nil, err
-		}
-		nb.Fn[id] = f
-		nb.roots = append(nb.roots, f)
-		if opt.Reorder.Enable && m.live >= next {
-			if _, err := m.Reorder(nb.roots, ReorderOptions{
-				MaxGrowth: opt.Reorder.MaxGrowth,
-				MaxVars:   opt.Reorder.MaxVars,
-			}); err != nil {
-				return nil, err
-			}
-			next = 2 * m.live
-			if th := opt.Reorder.threshold(opt.Budget); next < th {
-				next = th
+		fn[id] = f
+		if built != nil {
+			if err := built(f); err != nil {
+				return err
 			}
 		}
 	}
-	return nb, nil
+	return nil
+}
+
+// Cut rebuilds every node function of nw with node id cut loose from its
+// fanins: it adds a fresh variable z to the manager, gives node id the
+// function z, and folds the rest of the network over it. The rebuilt
+// functions are returned in a new map; nb.Fn is left as it was.
+func (nb *NetworkBDDs) Cut(nw *logic.Network, id logic.NodeID) (map[logic.NodeID]Ref, int, error) {
+	z := nb.M.AddVar()
+	fn := make(map[logic.NodeID]Ref, len(nb.Fn))
+	for _, src := range nb.Vars {
+		fn[src] = nb.Fn[src]
+	}
+	return fn, z, build(context.Background(), nb.M, nw, fn, id, nb.M.Var(z), nil)
 }
 
 // Reorder sifts the manager's variable order, pinning every node
@@ -196,24 +224,17 @@ func (nb *NetworkBDDs) Reorder(opt ReorderOptions) (ReorderStats, error) {
 	return nb.M.Reorder(roots, opt)
 }
 
-func applyGate(m *Manager, t logic.GateType, args []Ref) (Ref, error) {
-	switch t {
-	case logic.Buf:
-		return args[0], nil
-	case logic.Not:
-		return m.Not(args[0]), nil
-	case logic.And:
-		return m.And(args...), nil
-	case logic.Or:
-		return m.Or(args...), nil
-	case logic.Nand:
-		return m.Not(m.And(args...)), nil
-	case logic.Nor:
-		return m.Not(m.Or(args...)), nil
-	case logic.Xor:
-		return m.Xor(args...), nil
-	case logic.Xnor:
-		return m.Xnor(args...), nil
+// refs is the BDD carrier of the gate algebra.
+type refs struct{ m *Manager }
+
+func (a refs) Const(v bool) Ref {
+	if v {
+		return True
 	}
-	return False, fmt.Errorf("bdd: unsupported gate type %s", t)
+	return False
 }
+
+func (a refs) Not(f Ref) Ref    { return a.m.Not(f) }
+func (a refs) And(fs []Ref) Ref { return a.m.And(fs...) }
+func (a refs) Or(fs []Ref) Ref  { return a.m.Or(fs...) }
+func (a refs) Xor(fs []Ref) Ref { return a.m.Xor(fs...) }

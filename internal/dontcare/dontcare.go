@@ -53,40 +53,9 @@ func newAnalyzer(nw *logic.Network) (*analyzer, error) {
 // node changes no primary output and no flip-flop input.
 func (a *analyzer) odc(id logic.NodeID) (bdd.Ref, error) {
 	m := a.nb.M
-	z := m.AddVar()
-	zRef := m.Var(z)
-	// Rebuild all functions with node id cut to the free variable z.
-	fn := make(map[logic.NodeID]bdd.Ref, len(a.nb.Fn))
-	for _, src := range a.nb.Vars {
-		fn[src] = a.nb.Fn[src]
-	}
-	order, err := a.nw.TopoOrder()
+	fn, z, err := a.nb.Cut(a.nw, id)
 	if err != nil {
 		return bdd.False, err
-	}
-	for _, nid := range order {
-		if nid == id {
-			fn[nid] = zRef
-			continue
-		}
-		n := a.nw.Node(nid)
-		var f bdd.Ref
-		switch n.Type {
-		case logic.Const0:
-			f = bdd.False
-		case logic.Const1:
-			f = bdd.True
-		default:
-			args := make([]bdd.Ref, len(n.Fanin))
-			for i, fi := range n.Fanin {
-				args[i] = fn[fi]
-			}
-			f, err = applyGate(m, n.Type, args)
-			if err != nil {
-				return bdd.False, err
-			}
-		}
-		fn[nid] = f
 	}
 	// Endpoints: POs and FF D inputs.
 	odc := bdd.True
@@ -234,26 +203,4 @@ func localOnSet(n *logic.Node) *sop.Cover {
 		}
 	}
 	return cv
-}
-
-func applyGate(m *bdd.Manager, t logic.GateType, args []bdd.Ref) (bdd.Ref, error) {
-	switch t {
-	case logic.Buf:
-		return args[0], nil
-	case logic.Not:
-		return m.Not(args[0]), nil
-	case logic.And:
-		return m.And(args...), nil
-	case logic.Or:
-		return m.Or(args...), nil
-	case logic.Nand:
-		return m.Not(m.And(args...)), nil
-	case logic.Nor:
-		return m.Not(m.Or(args...)), nil
-	case logic.Xor:
-		return m.Xor(args...), nil
-	case logic.Xnor:
-		return m.Xnor(args...), nil
-	}
-	return bdd.False, fmt.Errorf("dontcare: %w", &logic.UnsupportedGateError{Type: t})
 }

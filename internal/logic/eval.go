@@ -1,17 +1,10 @@
 package logic
 
-import (
-	"errors"
-	"fmt"
-)
-
-// ErrUnsupportedGate is the sentinel matched by errors.Is for every
-// unsupported-gate-type error returned by the evaluation entry points.
-var ErrUnsupportedGate = errors.New("logic: unsupported gate type")
+import "fmt"
 
 // UnsupportedGateError is the typed error returned when evaluation is
-// asked to compute a node type that is not a combinational gate. It
-// matches ErrUnsupportedGate under errors.Is.
+// asked to compute a node type that is not a combinational gate or a
+// constant.
 type UnsupportedGateError struct {
 	Type GateType
 }
@@ -20,80 +13,18 @@ func (e *UnsupportedGateError) Error() string {
 	return fmt.Sprintf("logic: unsupported gate type %s", e.Type)
 }
 
-// Is makes errors.Is(err, ErrUnsupportedGate) true.
-func (e *UnsupportedGateError) Is(target error) bool { return target == ErrUnsupportedGate }
-
-// TryEvalGate computes the output of a gate of type t given its fanin
-// values, returning an *UnsupportedGateError instead of panicking on
-// non-gate types. It is the entry point for code paths reachable from
-// external input (parsers, whole-network evaluation); validated hot loops
-// may keep using EvalGate.
-func TryEvalGate(t GateType, in []bool) (bool, error) {
-	if !t.IsGate() {
-		return false, &UnsupportedGateError{Type: t}
-	}
-	if len(in) == 0 {
-		// Gates have at least one fanin (see GateType.MinFanin); guard the
-		// in[0] accesses below against hand-built nodes.
-		return false, fmt.Errorf("logic: %s gate evaluated with no fanin values", t)
-	}
-	return EvalGate(t, in), nil
-}
-
-// EvalGate computes the output of a gate of type t given its fanin values.
-// It panics on non-gate types: it is the Must-style helper for validated
-// paths (simulator inner loops, generators) where the network has already
-// passed construction-time checks. Untrusted callers should use
-// TryEvalGate, and whole-network evaluation should go through
-// Network.EvalComb or State.Step, which return typed errors.
+// EvalGate computes the output of a gate of type t given its fanin values:
+// Fold over Bools. It panics where Fold returns an error: it is the
+// Must-style helper for validated paths (simulator inner loops,
+// generators) where the network has already passed construction-time
+// checks. Whole-network evaluation should go through Network.EvalComb or
+// State.Step, which return typed errors.
 func EvalGate(t GateType, in []bool) bool {
-	switch t {
-	case Buf:
-		return in[0]
-	case Not:
-		return !in[0]
-	case And:
-		for _, v := range in {
-			if !v {
-				return false
-			}
-		}
-		return true
-	case Or:
-		for _, v := range in {
-			if v {
-				return true
-			}
-		}
-		return false
-	case Nand:
-		for _, v := range in {
-			if !v {
-				return true
-			}
-		}
-		return false
-	case Nor:
-		for _, v := range in {
-			if v {
-				return false
-			}
-		}
-		return true
-	case Xor:
-		p := false
-		for _, v := range in {
-			p = p != v
-		}
-		return p
-	case Xnor:
-		p := true
-		for _, v := range in {
-			p = p != v
-		}
-		return p
+	v, err := Fold(Bools{}, t, in)
+	if err != nil {
+		panic(err.Error())
 	}
-	panic((&UnsupportedGateError{Type: t}).Error())
+	return v
 }
 
 // State holds the present values of every node in a network during
@@ -101,6 +32,7 @@ func EvalGate(t GateType, in []bool) bool {
 type State struct {
 	nw  *Network
 	val []bool
+	buf []bool // fanin values gathered for one node
 }
 
 // NewState allocates an evaluation state with all flip-flops at their
@@ -170,25 +102,12 @@ func (s *State) settle() error {
 	if err != nil {
 		return err
 	}
-	var buf []bool
 	for _, id := range order {
-		n := s.nw.nodes[id]
-		switch n.Type {
-		case Const0:
-			s.val[id] = false
-		case Const1:
-			s.val[id] = true
-		default:
-			buf = buf[:0]
-			for _, f := range n.Fanin {
-				buf = append(buf, s.val[f])
-			}
-			v, err := TryEvalGate(n.Type, buf)
-			if err != nil {
-				return err
-			}
-			s.val[id] = v
+		v, err := FoldNode(Bools{}, s.nw.nodes[id], s.val, &s.buf)
+		if err != nil {
+			return err
 		}
+		s.val[id] = v
 	}
 	return nil
 }

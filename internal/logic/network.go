@@ -53,37 +53,13 @@ func (t GateType) String() string {
 
 // IsGate reports whether the type is a combinational logic gate (has fanins
 // and computes a function), as opposed to an input, constant or flip-flop.
-func (t GateType) IsGate() bool {
-	switch t {
-	case Buf, Not, And, Or, Nand, Nor, Xor, Xnor:
-		return true
-	}
-	return false
-}
+func (t GateType) IsGate() bool { return t.desc().op >= opIdent }
 
 // MinFanin returns the minimum legal fanin count for the gate type.
-func (t GateType) MinFanin() int {
-	switch t {
-	case Input, Const0, Const1:
-		return 0
-	case Buf, Not, DFF:
-		return 1
-	default:
-		return 2
-	}
-}
+func (t GateType) MinFanin() int { return t.desc().min }
 
 // MaxFanin returns the maximum legal fanin count, or -1 if unbounded.
-func (t GateType) MaxFanin() int {
-	switch t {
-	case Input, Const0, Const1:
-		return 0
-	case Buf, Not, DFF:
-		return 1
-	default:
-		return -1
-	}
-}
+func (t GateType) MaxFanin() int { return t.desc().max }
 
 // NodeID indexes a node within its Network. IDs are dense and stable for
 // the lifetime of the network (deleted nodes leave dead slots).

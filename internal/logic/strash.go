@@ -191,7 +191,6 @@ func foldConstants(nw *Network) (int, error) {
 		// variable fanins for symmetric idempotent gates.
 		var vars []NodeID
 		constTrue, constFalse := 0, 0
-		dupParity := 0
 		seenVar := map[NodeID]int{}
 		for _, f := range n.Fanin {
 			if isC, v := constOf(nw, f); isC {
@@ -205,7 +204,6 @@ func foldConstants(nw *Network) (int, error) {
 			seenVar[f]++
 			vars = append(vars, f)
 		}
-		_ = dupParity
 
 		var replacement NodeID = InvalidNode
 		var build func() (NodeID, error)

@@ -2,7 +2,6 @@ package power
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 
 	"repro/internal/bdd"
@@ -34,8 +33,8 @@ func ExactProbabilities(nw *logic.Network, inputProb Probabilities) (Probabiliti
 
 // PropagatedProbabilities computes approximate signal probabilities by
 // forward propagation assuming spatial independence of gate inputs — fast
-// but inexact under reconvergent fanout. XOR-class gates are computed by
-// enumerating input combinations (fanin is small in mapped netlists).
+// but inexact under reconvergent fanout. XOR-class gates use the closed
+// form for independent inputs.
 func PropagatedProbabilities(nw *logic.Network, inputProb Probabilities) (Probabilities, error) {
 	out := make(Probabilities)
 	for _, src := range append(append([]logic.NodeID(nil), nw.PIs()...), nw.FFs()...) {
@@ -75,66 +74,52 @@ func PropagatedProbabilities(nw *logic.Network, inputProb Probabilities) (Probab
 // the power.prop.nodes counter counts); buf is scratch reused across
 // calls.
 func propagateNode(n *logic.Node, table Probabilities, buf *[]float64) (float64, bool, error) {
-	switch n.Type {
-	case logic.Const0:
-		return 0, false, nil
-	case logic.Const1:
-		return 1, false, nil
-	default:
-		ps := (*buf)[:0]
-		for _, f := range n.Fanin {
-			ps = append(ps, table[f])
-		}
-		*buf = ps
-		p, err := gateProb(n.Type, ps)
-		return p, true, err
+	ps := (*buf)[:0]
+	for _, f := range n.Fanin {
+		ps = append(ps, table[f])
 	}
+	*buf = ps
+	p, err := logic.Fold(independent{}, n.Type, ps)
+	return p, n.Type != logic.Const0 && n.Type != logic.Const1, err
 }
 
-func gateProb(t logic.GateType, ps []float64) (float64, error) {
-	switch t {
-	case logic.Buf:
-		return ps[0], nil
-	case logic.Not:
-		return 1 - ps[0], nil
-	case logic.And:
-		p := 1.0
-		for _, q := range ps {
-			p *= q
-		}
-		return p, nil
-	case logic.Nand:
-		p := 1.0
-		for _, q := range ps {
-			p *= q
-		}
-		return 1 - p, nil
-	case logic.Or:
-		p := 1.0
-		for _, q := range ps {
-			p *= 1 - q
-		}
-		return 1 - p, nil
-	case logic.Nor:
-		p := 1.0
-		for _, q := range ps {
-			p *= 1 - q
-		}
-		return p, nil
-	case logic.Xor, logic.Xnor:
-		// P(odd number of ones); independent inputs give the closed form
-		// (1 - prod(1-2p_i)) / 2.
-		prod := 1.0
-		for _, q := range ps {
-			prod *= 1 - 2*q
-		}
-		pOdd := (1 - prod) / 2
-		if t == logic.Xor {
-			return pOdd, nil
-		}
-		return 1 - pOdd, nil
+// independent is the probability carrier of the gate algebra under
+// spatial independence of the fanins. The operation order is fixed:
+// And is the product, Or the complement of the product of complements,
+// and Xor the closed form (1 - prod(1-2p_i)) / 2 for P(odd number of ones).
+type independent struct{}
+
+func (independent) Const(v bool) float64 {
+	if v {
+		return 1
 	}
-	return 0, fmt.Errorf("power: no probability rule for gate type %s", t)
+	return 0
+}
+
+func (independent) Not(p float64) float64 { return 1 - p }
+
+func (independent) And(ps []float64) float64 {
+	p := 1.0
+	for _, q := range ps {
+		p *= q
+	}
+	return p
+}
+
+func (independent) Or(ps []float64) float64 {
+	p := 1.0
+	for _, q := range ps {
+		p *= 1 - q
+	}
+	return 1 - p
+}
+
+func (independent) Xor(ps []float64) float64 {
+	prod := 1.0
+	for _, q := range ps {
+		prod *= 1 - 2*q
+	}
+	return (1 - prod) / 2
 }
 
 // SequentialProbabilities estimates flip-flop output probabilities by
@@ -199,7 +184,7 @@ func EstimatePropagated(nw *logic.Network, p Params, cm CapModel, inputProb Prob
 // activity over the supplied vectors, capturing glitch power that the
 // zero-delay estimators miss. It returns the report and the simulation
 // totals. The simulation is sharded across GOMAXPROCS workers; results
-// are bit-identical to a sequential run (see sim.MeasureRun).
+// are bit-identical to a sequential run (see sim.MeasureRunCtx).
 func EstimateSimulated(nw *logic.Network, p Params, cm CapModel, dm sim.DelayModel, vectors [][]bool) (Report, sim.Totals, error) {
 	return EstimateSimulatedParallel(nw, p, cm, dm, vectors, 0)
 }

@@ -51,7 +51,7 @@ func (m *Measure) UsefulActivity(id logic.NodeID) float64 {
 // per-shard simulator construction dominates the simulation itself.
 const minChunk = 64
 
-// MeasureRun simulates the vector stream under the delay model and
+// MeasureRunCtx simulates the vector stream under the delay model and
 // returns merged per-node counts, splitting the work across workers
 // goroutines (workers <= 0 means GOMAXPROCS).
 //
@@ -65,16 +65,12 @@ const minChunk = 64
 // within a cycle depend only on the previous settled state and the new
 // vector, so every chunk reproduces exactly the events of the sequential
 // run over its cycles.
-func MeasureRun(nw *logic.Network, dm DelayModel, vectors [][]bool, workers int) (*Measure, error) {
-	return MeasureRunCtx(context.Background(), nw, dm, vectors, workers)
-}
-
-// MeasureRunCtx is MeasureRun under a context: it refuses to start after
-// cancellation and, when the context carries a trace (see
-// internal/obsv/trace), records the whole run as a "sim.measure" span
-// annotated with cycle/worker/transition counts. The numeric results are
-// bit-identical to MeasureRun — the context influences only whether the
-// run starts and what gets observed, never what is computed.
+//
+// The context only decides whether the run starts and what is observed:
+// it refuses to start after cancellation and, when the context carries a
+// trace (see internal/obsv/trace), records the whole run as a
+// "sim.measure" span annotated with cycle/worker/transition counts. The
+// numeric results never depend on it.
 func MeasureRunCtx(ctx context.Context, nw *logic.Network, dm DelayModel, vectors [][]bool, workers int) (*Measure, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -209,22 +205,15 @@ func boundaryStates(nw *logic.Network, vectors [][]bool, starts []int) ([][]bool
 	pis := nw.PIs()
 	ffs := nw.FFs()
 
+	var buf []bool
 	settle := func(val []bool) {
-		var buf []bool
 		for _, id := range order {
 			n := nw.Node(id)
-			switch n.Type {
-			case logic.Const0:
-				val[id] = false
-			case logic.Const1:
-				val[id] = true
-			default:
-				buf = buf[:0]
-				for _, f := range n.Fanin {
-					buf = append(buf, val[f])
-				}
-				val[id] = logic.EvalGate(n.Type, buf)
+			buf = buf[:0]
+			for _, f := range n.Fanin {
+				buf = append(buf, val[f])
 			}
+			val[id] = logic.EvalGate(n.Type, buf)
 		}
 	}
 	resetState := func() []bool {

@@ -19,7 +19,7 @@ import (
 // (zero-delay) counts over the same vector stream, including the initial
 // transition away from the all-zero reset settle. It deliberately has no
 // notion of time inside a cycle, so it cannot see glitches — use
-// Simulator (or MeasureRun) when spurious transitions matter.
+// Simulator (or MeasureRunCtx) when spurious transitions matter.
 //
 // PackedSimulator requires a purely combinational network: lanes are
 // evaluated simultaneously, and a flip-flop chain would impose a serial
@@ -29,8 +29,10 @@ type PackedSimulator struct {
 	nw    *logic.Network
 	order []*logic.Node // levelized schedule (cached topo order, resolved)
 	pis   []logic.NodeID
+	piw   []uint64 // input words of the block being packed, by PI position
 
 	val   []uint64 // packed lane values per node
+	buf   []uint64 // fanin words gathered for one node
 	carry []uint64 // previous cycle's value (bit 0) per node
 	reset []bool   // settled state under the all-zero input vector
 
@@ -54,6 +56,7 @@ func NewPacked(nw *logic.Network) (*PackedSimulator, error) {
 		nw:              nw,
 		order:           make([]*logic.Node, len(order)),
 		pis:             nw.PIs(),
+		piw:             make([]uint64, len(nw.PIs())),
 		val:             make([]uint64, nw.NumNodes()),
 		carry:           make([]uint64, nw.NumNodes()),
 		reset:           make([]bool, nw.NumNodes()),
@@ -67,18 +70,11 @@ func NewPacked(nw *logic.Network) (*PackedSimulator, error) {
 	// Simulator.Reset exactly.
 	var buf []bool
 	for _, n := range ps.order {
-		switch n.Type {
-		case logic.Const0:
-			ps.reset[n.ID] = false
-		case logic.Const1:
-			ps.reset[n.ID] = true
-		default:
-			buf = buf[:0]
-			for _, f := range n.Fanin {
-				buf = append(buf, ps.reset[f])
-			}
-			ps.reset[n.ID] = logic.EvalGate(n.Type, buf)
+		v, err := logic.FoldNode(logic.Bools{}, n, ps.reset, &buf)
+		if err != nil {
+			return nil, err
 		}
+		ps.reset[n.ID] = v
 	}
 	ps.Reset()
 	return ps, nil
@@ -159,37 +155,40 @@ func (ps *PackedSimulator) run(vectors [][]bool, st *PackedState) (Totals, error
 		if k > 64 {
 			k = 64
 		}
-		// Pack lane j of each input word from vector base+j.
+		// Pack lane j of each input word from vector base+j, reading each
+		// vector once and branch-free (random inputs defeat prediction).
+		clear(ps.piw)
+		for j, v := range vectors[base : base+k] {
+			if len(v) != width {
+				return tot, fmt.Errorf("sim: packed Run got %d-bit vector, network has %d inputs", len(v), width)
+			}
+			bit := uint64(1) << j
+			for i, b := range v {
+				var x uint64
+				if b {
+					x = bit
+				}
+				ps.piw[i] |= x
+			}
+		}
 		for i, pi := range ps.pis {
-			var w uint64
-			for j := 0; j < k; j++ {
-				v := vectors[base+j]
-				if len(v) != width {
-					return tot, fmt.Errorf("sim: packed Run got %d-bit vector, network has %d inputs", len(v), width)
-				}
-				if v[i] {
-					w |= 1 << j
-				}
-			}
-			ps.val[pi] = w
+			ps.val[pi] = ps.piw[i]
 		}
-		// One word-level settle pass evaluates all 64 lanes of every gate.
-		for _, n := range ps.order {
-			w, err := packedEval(n, ps.val)
-			if err != nil {
-				return tot, err
-			}
-			ps.val[n.ID] = w
-		}
-		// Count transitions: lane j toggles iff it differs from lane j-1
-		// (lane 0 compares against the carried-over previous value), so
-		// XOR against the left-shifted word and popcount the valid lanes.
+		// One word-level settle pass evaluates all 64 lanes of every gate
+		// and counts its transitions: lane j toggles iff it differs from
+		// lane j-1 (lane 0 compares against the carried-over previous
+		// value), so XOR against the left-shifted word and popcount the
+		// valid lanes.
 		mask := ^uint64(0)
 		if k < 64 {
 			mask = 1<<uint(k) - 1
 		}
 		for _, n := range ps.order {
-			w := ps.val[n.ID]
+			w, err := logic.FoldNode(lanes{}, n, ps.val, &ps.buf)
+			if err != nil {
+				return tot, err
+			}
+			ps.val[n.ID] = w
 			diff := (w ^ (w<<1 | ps.carry[n.ID])) & mask
 			if diff != 0 {
 				c := int64(bits.OnesCount64(diff))
@@ -211,59 +210,43 @@ func (ps *PackedSimulator) run(vectors [][]bool, st *PackedState) (Totals, error
 	return tot, nil
 }
 
-// packedEval computes one 64-lane word for a combinational node from the
-// packed values of its fanins. It is the single evaluation kernel shared
-// by the full run and incremental cone re-evaluation, which is what makes
-// the incremental path bit-identical by construction.
-func packedEval(n *logic.Node, val []uint64) (uint64, error) {
-	f := n.Fanin
-	var w uint64
-	switch n.Type {
-	case logic.Const0:
-		w = 0
-	case logic.Const1:
-		w = ^uint64(0)
-	case logic.Buf:
-		w = val[f[0]]
-	case logic.Not:
-		w = ^val[f[0]]
-	case logic.And:
-		w = val[f[0]]
-		for _, x := range f[1:] {
-			w &= val[x]
-		}
-	case logic.Nand:
-		w = val[f[0]]
-		for _, x := range f[1:] {
-			w &= val[x]
-		}
-		w = ^w
-	case logic.Nor:
-		w = val[f[0]]
-		for _, x := range f[1:] {
-			w |= val[x]
-		}
-		w = ^w
-	case logic.Or:
-		w = val[f[0]]
-		for _, x := range f[1:] {
-			w |= val[x]
-		}
-	case logic.Xor:
-		w = val[f[0]]
-		for _, x := range f[1:] {
-			w ^= val[x]
-		}
-	case logic.Xnor:
-		w = val[f[0]]
-		for _, x := range f[1:] {
-			w ^= val[x]
-		}
-		w = ^w
-	default:
-		return 0, fmt.Errorf("sim: packed simulator cannot evaluate node type %s", n.Type)
+// lanes is the packed carrier of the gate algebra: bit j of a word is
+// the node's value under vector j. The full run and incremental cone
+// re-evaluation both fold through it, which is what makes the
+// incremental path bit-identical by construction.
+type lanes struct{}
+
+func (lanes) Const(v bool) uint64 {
+	if v {
+		return ^uint64(0)
 	}
-	return w, nil
+	return 0
+}
+
+func (lanes) Not(w uint64) uint64 { return ^w }
+
+func (lanes) And(in []uint64) uint64 {
+	w := in[0]
+	for _, x := range in[1:] {
+		w &= x
+	}
+	return w
+}
+
+func (lanes) Or(in []uint64) uint64 {
+	w := in[0]
+	for _, x := range in[1:] {
+		w |= x
+	}
+	return w
+}
+
+func (lanes) Xor(in []uint64) uint64 {
+	w := in[0]
+	for _, x := range in[1:] {
+		w ^= x
+	}
+	return w
 }
 
 // Cycles returns the number of cycles simulated since the last Reset.

@@ -50,7 +50,7 @@ type PackedState struct {
 // Correctness relies on the cone invariant that every live node outside
 // the cone has only live, non-dirty fanins: its stored words are what a
 // full re-run would recompute, so reusing them and re-deriving only the
-// cone reproduces the full run bit for bit (the shared packedEval kernel
+// cone reproduces the full run bit for bit (the shared lanes carrier
 // and the same carry-chain popcount make this structural, not numeric).
 // The caller is responsible for the cone being current (derived from the
 // network's dirty set since the last capture or update) and for
@@ -80,21 +80,15 @@ func (st *PackedState) UpdateCone(nw *logic.Network, cone *logic.Cone) error {
 	for i, id := range cone.Members {
 		n := nw.Node(id)
 		members[i] = n
-		switch n.Type {
-		case logic.Const0:
-			st.Reset[id] = false
-		case logic.Const1:
-			st.Reset[id] = true
-		default:
-			buf = buf[:0]
-			for _, f := range n.Fanin {
-				buf = append(buf, st.Reset[f])
-			}
-			st.Reset[id] = logic.EvalGate(n.Type, buf)
+		v, err := logic.FoldNode(logic.Bools{}, n, st.Reset, &buf)
+		if err != nil {
+			return err
 		}
+		st.Reset[id] = v
 	}
 	carry := make([]uint64, len(members))
 	fresh := make([]int64, len(members))
+	var words []uint64
 	for i, n := range members {
 		if st.Reset[n.ID] {
 			carry[i] = 1
@@ -107,7 +101,7 @@ func (st *PackedState) UpdateCone(nw *logic.Network, cone *logic.Cone) error {
 			mask = 1<<uint(k) - 1
 		}
 		for i, n := range members {
-			w, err := packedEval(n, vals)
+			w, err := logic.FoldNode(lanes{}, n, vals, &words)
 			if err != nil {
 				return err
 			}

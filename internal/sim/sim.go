@@ -167,19 +167,11 @@ func (s *Simulator) Reset() error {
 	}
 	var buf []bool
 	for _, id := range order {
-		n := s.nw.Node(id)
-		switch n.Type {
-		case logic.Const0:
-			s.val[id] = false
-		case logic.Const1:
-			s.val[id] = true
-		default:
-			buf = buf[:0]
-			for _, f := range n.Fanin {
-				buf = append(buf, s.val[f])
-			}
-			s.val[id] = logic.EvalGate(n.Type, buf)
+		v, err := logic.FoldNode(logic.Bools{}, s.nw.Node(id), s.val, &buf)
+		if err != nil {
+			return err
 		}
+		s.val[id] = v
 	}
 	s.clearCounters()
 	return nil

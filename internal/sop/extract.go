@@ -245,32 +245,6 @@ func flatOr(e *Expr) *FactorTree {
 	return t
 }
 
-// Literals returns the literal IDs appearing in the tree.
-func (t *FactorTree) Literals() []int {
-	set := make(map[int]bool)
-	var rec func(*FactorTree)
-	rec = func(n *FactorTree) {
-		if n == nil {
-			return
-		}
-		if n.Left == nil && n.Right == nil {
-			if n.Lit >= 0 {
-				set[n.Lit] = true
-			}
-			return
-		}
-		rec(n.Left)
-		rec(n.Right)
-	}
-	rec(t)
-	out := make([]int, 0, len(set))
-	for l := range set {
-		out = append(out, l)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // NumLiterals counts leaf occurrences in the tree — the factored-form
 // literal count, the standard quality metric for factoring.
 func (t *FactorTree) NumLiterals() int {

@@ -39,15 +39,6 @@ func Decompose(nw *logic.Network) (*Subject, error) {
 func DecomposeWith(nw *logic.Network, opts DecomposeOptions) (*Subject, error) {
 	s := &Subject{Net: logic.New(nw.Name + "_subject"), OfOrig: make(map[logic.NodeID]logic.NodeID)}
 	sn := s.Net
-	seq := 0
-	fresh := func() string { seq++; return fmt.Sprintf("t%d", seq) }
-	mkNand := func(a, b logic.NodeID) (logic.NodeID, error) {
-		return sn.AddGate(fresh(), logic.Nand, a, b)
-	}
-	mkInv := func(a logic.NodeID) (logic.NodeID, error) {
-		return sn.AddGate(fresh(), logic.Not, a)
-	}
-
 	for _, pi := range nw.PIs() {
 		id, err := sn.AddInput(nw.Node(pi).Name)
 		if err != nil {
@@ -76,157 +67,30 @@ func DecomposeWith(nw *logic.Network, opts DecomposeOptions) (*Subject, error) {
 		fixes = append(fixes, ffFix{subjFF: q, origD: n.Fanin[0], ph: ph})
 	}
 
-	// split picks the recursion partition: left-deep peels one element,
-	// balanced halves the list.
-	split := func(args []logic.NodeID) ([]logic.NodeID, []logic.NodeID) {
-		if opts.Balanced {
-			return args[:len(args)/2], args[len(args)/2:]
-		}
-		return args[:1], args[1:]
-	}
-	// andTree computes the AND of the list as a subject subgraph.
-	var andTree func(args []logic.NodeID) (logic.NodeID, error)
-	var nandTree func(args []logic.NodeID) (logic.NodeID, error)
-	nandTree = func(args []logic.NodeID) (logic.NodeID, error) {
-		switch len(args) {
-		case 1:
-			return mkInv(args[0])
-		case 2:
-			return mkNand(args[0], args[1])
-		default:
-			l, r := split(args)
-			al, err := andTree(l)
-			if err != nil {
-				return logic.InvalidNode, err
-			}
-			ar, err := andTree(r)
-			if err != nil {
-				return logic.InvalidNode, err
-			}
-			return mkNand(al, ar)
-		}
-	}
-	andTree = func(args []logic.NodeID) (logic.NodeID, error) {
-		if len(args) == 1 {
-			return args[0], nil
-		}
-		n, err := nandTree(args)
-		if err != nil {
-			return logic.InvalidNode, err
-		}
-		return mkInv(n)
-	}
-	var orTree func(args []logic.NodeID) (logic.NodeID, error)
-	orTree = func(args []logic.NodeID) (logic.NodeID, error) {
-		switch len(args) {
-		case 1:
-			return args[0], nil
-		case 2:
-			i0, err := mkInv(args[0])
-			if err != nil {
-				return logic.InvalidNode, err
-			}
-			i1, err := mkInv(args[1])
-			if err != nil {
-				return logic.InvalidNode, err
-			}
-			return mkNand(i0, i1)
-		default:
-			l, r := split(args)
-			ol, err := orTree(l)
-			if err != nil {
-				return logic.InvalidNode, err
-			}
-			orr, err := orTree(r)
-			if err != nil {
-				return logic.InvalidNode, err
-			}
-			i0, err := mkInv(ol)
-			if err != nil {
-				return logic.InvalidNode, err
-			}
-			i1, err := mkInv(orr)
-			if err != nil {
-				return logic.InvalidNode, err
-			}
-			return mkNand(i0, i1)
-		}
-	}
-	// XOR pair in the duplicated shape: middle NAND built twice.
-	xorPair := func(a, b logic.NodeID) (logic.NodeID, error) {
-		m1, err := mkNand(a, b)
-		if err != nil {
-			return logic.InvalidNode, err
-		}
-		m2, err := mkNand(a, b)
-		if err != nil {
-			return logic.InvalidNode, err
-		}
-		n1, err := mkNand(a, m1)
-		if err != nil {
-			return logic.InvalidNode, err
-		}
-		n2, err := mkNand(b, m2)
-		if err != nil {
-			return logic.InvalidNode, err
-		}
-		return mkNand(n1, n2)
-	}
-
 	order, err := nw.TopoOrder()
 	if err != nil {
 		return nil, err
 	}
+	b := &subjectBuilder{sn: sn, balanced: opts.Balanced}
+	var args []lit
 	for _, id := range order {
 		n := nw.Node(id)
-		args := make([]logic.NodeID, len(n.Fanin))
-		for i, f := range n.Fanin {
+		args = args[:0]
+		for _, f := range n.Fanin {
 			sf, ok := s.OfOrig[f]
 			if !ok {
 				return nil, fmt.Errorf("tmap: fanin %d of %q not decomposed", f, n.Name)
 			}
-			args[i] = sf
+			args = append(args, lit{id: sf})
 		}
-		var out logic.NodeID
-		switch n.Type {
-		case logic.Const0:
-			out, err = sn.AddConst(fresh(), false)
-		case logic.Const1:
-			out, err = sn.AddConst(fresh(), true)
-		case logic.Buf:
-			out = args[0]
-		case logic.Not:
-			out, err = mkInv(args[0])
-		case logic.And:
-			out, err = andTree(args)
-		case logic.Nand:
-			out, err = nandTree(args)
-		case logic.Or:
-			out, err = orTree(args)
-		case logic.Nor:
-			var o logic.NodeID
-			o, err = orTree(args)
-			if err == nil {
-				out, err = mkInv(o)
-			}
-		case logic.Xor, logic.Xnor:
-			out = args[0]
-			for _, b := range args[1:] {
-				out, err = xorPair(out, b)
-				if err != nil {
-					break
-				}
-			}
-			if err == nil && n.Type == logic.Xnor {
-				out, err = mkInv(out)
-			}
-		default:
-			err = fmt.Errorf("tmap: cannot decompose node type %s", n.Type)
-		}
+		out, err := logic.Fold(b, n.Type, args)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("tmap: %w", err)
 		}
-		s.OfOrig[id] = out
+		s.OfOrig[id] = b.node(out)
+		if b.err != nil {
+			return nil, b.err
+		}
 	}
 
 	for _, fix := range fixes {
@@ -248,4 +112,137 @@ func DecomposeWith(nw *logic.Network, opts DecomposeOptions) (*Subject, error) {
 	}
 	sn.SweepDead()
 	return s, nil
+}
+
+// lit is a subject-graph node with a pending output inversion.
+type lit struct {
+	id  logic.NodeID
+	neg bool
+}
+
+// subjectBuilder is the subject-graph carrier of the gate algebra: its
+// operations emit NAND2/INV nodes named t1, t2, ... in creation order.
+// Inversion stays pending in a lit until a node is needed, so a Nand or
+// Nor absorbs the inverter its And or Or tree would otherwise end with.
+// The first construction error sticks in err and turns later operations
+// into no-ops.
+type subjectBuilder struct {
+	sn       *logic.Network
+	balanced bool
+	seq      int
+	err      error
+}
+
+func (b *subjectBuilder) gate(t logic.GateType, fanin ...logic.NodeID) logic.NodeID {
+	if b.err != nil {
+		return logic.InvalidNode
+	}
+	b.seq++
+	id, err := b.sn.AddGate(fmt.Sprintf("t%d", b.seq), t, fanin...)
+	b.err = err
+	return id
+}
+
+func (b *subjectBuilder) nand(x, y logic.NodeID) logic.NodeID { return b.gate(logic.Nand, x, y) }
+func (b *subjectBuilder) inv(x logic.NodeID) logic.NodeID     { return b.gate(logic.Not, x) }
+
+// node materializes a lit, emitting its pending inverter.
+func (b *subjectBuilder) node(x lit) logic.NodeID {
+	if x.neg {
+		return b.inv(x.id)
+	}
+	return x.id
+}
+
+func (b *subjectBuilder) nodes(in []lit) []logic.NodeID {
+	ids := make([]logic.NodeID, len(in))
+	for i, x := range in {
+		ids[i] = b.node(x)
+	}
+	return ids
+}
+
+// split picks the recursion partition: left-deep peels one element,
+// balanced halves the list.
+func (b *subjectBuilder) split(args []logic.NodeID) ([]logic.NodeID, []logic.NodeID) {
+	if b.balanced {
+		return args[:len(args)/2], args[len(args)/2:]
+	}
+	return args[:1], args[1:]
+}
+
+// nandTree computes the NAND of the list as a subject subgraph.
+func (b *subjectBuilder) nandTree(args []logic.NodeID) logic.NodeID {
+	switch len(args) {
+	case 1:
+		return b.inv(args[0])
+	case 2:
+		return b.nand(args[0], args[1])
+	}
+	l, r := b.split(args)
+	al := b.andTree(l)
+	return b.nand(al, b.andTree(r))
+}
+
+func (b *subjectBuilder) andTree(args []logic.NodeID) logic.NodeID {
+	if len(args) == 1 {
+		return args[0]
+	}
+	return b.inv(b.nandTree(args))
+}
+
+func (b *subjectBuilder) orTree(args []logic.NodeID) logic.NodeID {
+	switch len(args) {
+	case 1:
+		return args[0]
+	case 2:
+		i0 := b.inv(args[0])
+		return b.nand(i0, b.inv(args[1]))
+	}
+	// Both subtrees are emitted before their inverters; the emission
+	// order fixes the t<n> names.
+	l, r := b.split(args)
+	ol := b.orTree(l)
+	or := b.orTree(r)
+	i0 := b.inv(ol)
+	return b.nand(i0, b.inv(or))
+}
+
+// xorPair builds the XOR of two nodes in the duplicated shape the XOR2
+// pattern expects: the middle NAND is built twice.
+func (b *subjectBuilder) xorPair(x, y logic.NodeID) logic.NodeID {
+	m1 := b.nand(x, y)
+	m2 := b.nand(x, y)
+	n1 := b.nand(x, m1)
+	return b.nand(n1, b.nand(y, m2))
+}
+
+func (b *subjectBuilder) Const(v bool) lit {
+	if b.err != nil {
+		return lit{id: logic.InvalidNode}
+	}
+	b.seq++
+	id, err := b.sn.AddConst(fmt.Sprintf("t%d", b.seq), v)
+	b.err = err
+	return lit{id: id}
+}
+
+func (b *subjectBuilder) Not(x lit) lit { return lit{id: x.id, neg: !x.neg} }
+
+func (b *subjectBuilder) And(in []lit) lit {
+	if len(in) == 1 {
+		return in[0]
+	}
+	return lit{id: b.nandTree(b.nodes(in)), neg: true}
+}
+
+func (b *subjectBuilder) Or(in []lit) lit { return lit{id: b.orTree(b.nodes(in))} }
+
+func (b *subjectBuilder) Xor(in []lit) lit {
+	ids := b.nodes(in)
+	out := ids[0]
+	for _, y := range ids[1:] {
+		out = b.xorPair(out, y)
+	}
+	return lit{id: out}
 }
