@@ -521,6 +521,41 @@ func BenchmarkSimPackedVsScalar(b *testing.B) {
 	})
 }
 
+// BenchmarkEquivalent times the flow verifier: packed exhaustive
+// equivalence of a circuit against its structurally hashed copy, both
+// networks evaluated 64 rows per word in lockstep. cmp8 and par16 have
+// 16 inputs (1,024 blocks), mux16 has 20 (16,384 blocks).
+func BenchmarkEquivalent(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		build func() (*logic.Network, error)
+	}{
+		{"cmp8", func() (*logic.Network, error) { return circuits.Comparator(8) }},
+		{"par16", func() (*logic.Network, error) { return circuits.ParityTree(16) }},
+		{"mux16", func() (*logic.Network, error) { return circuits.MuxTree(4) }},
+	} {
+		golden, err := c.build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		rewritten := golden.Clone()
+		if _, err := logic.Strash(rewritten); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				eq, err := logic.Equivalent(golden, rewritten)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !eq {
+					b.Fatal("strash changed the function")
+				}
+			}
+		})
+	}
+}
+
 // benchRewritePass builds an ExtraPasses entry that applies one
 // function-preserving double-negation rewrite (And/Or gate g becomes
 // Not(Nand/Nor over g's fanins)) to the deepest remaining And/Or gate —

@@ -220,6 +220,7 @@ func flowTrace(rep *core.FlowReport) *profile.Trace {
 				"dexactp": s.DExactP,
 				"dgates":  s.DGates,
 				"ddepth":  s.DDepth,
+				"verify":  s.Verify,
 			},
 		})
 	}

@@ -3,8 +3,9 @@
 // common power-report format, mirroring how the surveyed methods are
 // "incorporated into state-of-the-art CAD frameworks" (§VI). Each pass is
 // one technique from the survey; a Flow runs a sequence with power, area
-// and glitch accounting before and after every step, and (for small
-// circuits) verifies functional equivalence after each rewrite.
+// and glitch accounting before and after every step, and (for
+// combinational circuits of up to 20 inputs) verifies functional
+// equivalence after each rewrite.
 package core
 
 import (
@@ -36,7 +37,8 @@ type Context struct {
 	Vectors [][]bool
 	Rand    *rand.Rand
 	// Verify enables exhaustive equivalence checking after each pass
-	// (only for networks with <= 16 inputs).
+	// (combinational networks with <= logic.MaxExhaustiveInputs inputs;
+	// other passes record why they were skipped in PassSpan.Verify).
 	Verify bool
 	// ExactBudget caps the BDD work behind each exact power measurement;
 	// when a measurement trips it, the snapshot degrades to Monte Carlo
@@ -322,6 +324,10 @@ type PassSpan struct {
 	DExactP float64 // zero-delay probabilistic power delta
 	DGates  int
 	DDepth  int
+	// Verify is how the pass's result was checked against the flow's
+	// input network: "exhaustive", or "skipped: <reason>" with reason
+	// off, sequential or >20 inputs.
+	Verify string
 }
 
 // FlowReport records the trajectory of one flow run.
@@ -351,6 +357,60 @@ func (fr *FlowReport) String() string {
 			100*(fr.Final().SimP-fr.Initial().SimP)/fr.Initial().SimP)
 	}
 	return b.String()
+}
+
+// Verified reports whether every executed pass was checked exhaustively
+// against the flow's input network.
+func (fr *FlowReport) Verified() bool {
+	for _, s := range fr.Spans {
+		if s.Verify != verifyExhaustive {
+			return false
+		}
+	}
+	return true
+}
+
+const verifyExhaustive = "exhaustive"
+
+// verifyMethod decides once per flow how its passes are checked.
+func verifyMethod(nw *logic.Network, fctx *Context) string {
+	switch {
+	case !fctx.Verify:
+		return "skipped: off"
+	case len(nw.FFs()) != 0:
+		return "skipped: sequential"
+	case len(nw.PIs()) > logic.MaxExhaustiveInputs:
+		return fmt.Sprintf("skipped: >%d inputs", logic.MaxExhaustiveInputs)
+	}
+	return verifyExhaustive
+}
+
+// verifyPass checks the rewritten network against the flow's golden copy
+// (nil when the flow's method is a skip) under a "verify" trace span whose
+// blocks attribute is the number of 64-row blocks per network.
+func verifyPass(ctx context.Context, golden, nw *logic.Network, pass, method string) error {
+	_, sp := trace.Start(ctx, "verify")
+	defer sp.End()
+	if sp != nil {
+		blocks := 0
+		if golden != nil {
+			blocks = logic.ExhaustiveBlocks(len(nw.PIs()))
+		}
+		sp.SetAttr("pass", pass)
+		sp.SetAttr("method", method)
+		sp.SetAttr("blocks", blocks)
+	}
+	if golden == nil {
+		return nil
+	}
+	eq, err := logic.Equivalent(golden, nw)
+	if err != nil {
+		return err
+	}
+	if !eq {
+		return fmt.Errorf("core: pass %q changed the circuit function", pass)
+	}
+	return nil
 }
 
 // RunFlow applies the flow's passes to the network in place, measuring
@@ -397,8 +457,8 @@ func RunFlowCtx(ctx context.Context, nw *logic.Network, flow Flow, fctx *Context
 	}
 	rep.Steps = append(rep.Steps, snap)
 	var golden *logic.Network
-	verify := fctx.Verify && len(nw.PIs()) <= 16 && len(nw.FFs()) == 0
-	if verify {
+	method := verifyMethod(nw, fctx)
+	if method == verifyExhaustive {
 		golden = nw.Clone()
 	}
 	obs := obsv.Default()
@@ -411,7 +471,7 @@ func RunFlowCtx(ctx context.Context, nw *logic.Network, flow Flow, fctx *Context
 		if !ok {
 			return nil, fmt.Errorf("core: unknown pass %q in flow %q", name, flow.Name)
 		}
-		span := PassSpan{Name: name, Level: p.Level, StartNs: time.Since(flowStart).Nanoseconds()}
+		span := PassSpan{Name: name, Level: p.Level, StartNs: time.Since(flowStart).Nanoseconds(), Verify: method}
 		var audit *logic.DirtyAudit
 		if fctx.DirtyAudit {
 			audit = logic.NewDirtyAudit(nw)
@@ -440,14 +500,13 @@ func RunFlowCtx(ctx context.Context, nw *logic.Network, flow Flow, fctx *Context
 				nw.ClearDirty()
 			}
 		}
-		if verify {
-			eq, err := logic.Equivalent(golden, nw)
-			if err != nil {
-				return nil, err
-			}
-			if !eq {
-				return nil, fmt.Errorf("core: pass %q changed the circuit function", name)
-			}
+		if err := verifyPass(ctx, golden, nw, name, method); err != nil {
+			return nil, err
+		}
+		if golden != nil {
+			obs.Counter("flow.verify.exhaustive").Inc()
+		} else {
+			obs.Counter("flow.verify.skipped").Inc()
 		}
 		prev := rep.Steps[len(rep.Steps)-1]
 		snap, err := measure(name)

@@ -113,23 +113,7 @@ func TestRunFlowUnknownPass(t *testing.T) {
 }
 
 func TestMeasureSequential(t *testing.T) {
-	nw := logic.New("seq")
-	x := nw.MustInput("x")
-	c0, _ := nw.AddConst("c0", false)
-	q, err := nw.AddDFF("q", c0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := nw.MustGate("d", logic.Xor, x, q)
-	if err := nw.ReplaceFanin(q, c0, d); err != nil {
-		t.Fatal(err)
-	}
-	if err := nw.DeleteNode(c0); err != nil {
-		t.Fatal(err)
-	}
-	if err := nw.MarkOutput(q); err != nil {
-		t.Fatal(err)
-	}
+	nw := seqToggle(t)
 	ctx := NewContext(nw, 5)
 	snap, err := Measure(nw, ctx, "seq")
 	if err != nil {
@@ -157,7 +141,7 @@ func TestFlowsOnBLIFCorpus(t *testing.T) {
 				t.Fatalf("%s/%s: %v", name, flowName, err)
 			}
 			// Combinational corpus circuits: verify function (RunFlow
-			// already does for <=16 PIs and no FFs, but double-check).
+			// already does for <=20 PIs and no FFs, but double-check).
 			if len(work.FFs()) == 0 && len(nw.FFs()) == 0 {
 				eq, err := logic.Equivalent(nw, work)
 				if err != nil {

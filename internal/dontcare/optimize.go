@@ -69,6 +69,7 @@ func OptimizeNetwork(nw *logic.Network, opts Options) (Result, error) {
 		opts.Params = power.DefaultParams()
 	}
 	var res Result
+	var base baseline
 	// Snapshot gate list: rewrites add nodes we must not revisit.
 	gates := nw.Gates()
 	for _, id := range gates {
@@ -80,19 +81,30 @@ func OptimizeNetwork(nw *logic.Network, opts Options) (Result, error) {
 			continue
 		}
 		res.NodesVisited++
-		changed, err := optimizeNode(nw, id, opts)
+		changed, err := optimizeNode(nw, id, opts, &base)
 		if err != nil {
 			return res, err
 		}
 		if changed {
 			res.NodesRewritten++
+			base.ok = false
 		}
 	}
 	nw.SweepDead()
 	return res, nil
 }
 
-func optimizeNode(nw *logic.Network, id logic.NodeID, opts Options) (bool, error) {
+// baseline carries the network's exact power total across the gates the
+// NetworkPower objective visits: a gate left unchanged leaves it valid,
+// and the caller clears ok when a gate is rewritten.
+type baseline struct {
+	total float64
+	ok    bool
+}
+
+// optimizeNode rewrites one gate if its don't-care assignment pays under
+// the objective.
+func optimizeNode(nw *logic.Network, id logic.NodeID, opts Options, base *baseline) (bool, error) {
 	dc, err := Analyze(nw, id, opts.InputProb, opts.UseODC)
 	if err != nil {
 		return false, err
@@ -156,11 +168,14 @@ func optimizeNode(nw *logic.Network, id logic.NodeID, opts Options) (bool, error
 
 	case NetworkPower:
 		// Evaluate each candidate by full-network exact power.
-		base, err := power.EstimateExact(nw, opts.Params, nil, opts.InputProb)
-		if err != nil {
-			return false, err
+		if !base.ok {
+			rep, err := power.EstimateExact(nw, opts.Params, nil, opts.InputProb)
+			if err != nil {
+				return false, err
+			}
+			*base = baseline{rep.Total(), true}
 		}
-		bestPower := base.Total()
+		bestPower := base.total
 		var bestCover *sop.Cover
 		for _, c := range cands {
 			trial := nw.Clone()

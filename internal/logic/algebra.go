@@ -153,3 +153,48 @@ func (Bools) Xor(in []bool) bool {
 	}
 	return p
 }
+
+// Words is the packed carrier: bit j of a word is the node's value
+// under input row (or vector) j, so one fold evaluates 64 rows. The
+// exhaustive verifier, the packed simulator and incremental cone
+// re-evaluation all fold through it, which is what makes the
+// incremental path bit-identical to a full run by construction.
+type Words struct{}
+
+// Const returns all ones for true and all zeros for false.
+func (Words) Const(v bool) uint64 {
+	if v {
+		return ^uint64(0)
+	}
+	return 0
+}
+
+// Not returns the bitwise complement of w.
+func (Words) Not(w uint64) uint64 { return ^w }
+
+// And returns the bitwise AND of the inputs.
+func (Words) And(in []uint64) uint64 {
+	w := in[0]
+	for _, x := range in[1:] {
+		w &= x
+	}
+	return w
+}
+
+// Or returns the bitwise OR of the inputs.
+func (Words) Or(in []uint64) uint64 {
+	w := in[0]
+	for _, x := range in[1:] {
+		w |= x
+	}
+	return w
+}
+
+// Xor returns the bitwise XOR of the inputs.
+func (Words) Xor(in []uint64) uint64 {
+	w := in[0]
+	for _, x := range in[1:] {
+		w ^= x
+	}
+	return w
+}

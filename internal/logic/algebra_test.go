@@ -10,7 +10,6 @@ import (
 	"repro/internal/bdd"
 	"repro/internal/logic"
 	"repro/internal/power"
-	"repro/internal/sim"
 	"repro/internal/tmap"
 )
 
@@ -75,10 +74,11 @@ func assignment(m, k int) []bool {
 
 // TestCarriersAgree checks every engine's gate-algebra carrier against
 // the scalar Bools carrier (itself pinned by TestEvalGateTypes' literal
-// truth table) through each engine's public entry point: packed lanes,
-// independence probabilities on {0,1} and on random inputs, BDD
-// functions, and the NAND2/INV subject graph in both decomposition
-// shapes.
+// truth table): the packed logic.Words carrier that the verifier and the
+// packed simulator share, folded directly, then, through each engine's
+// public entry point, independence probabilities on {0,1} and on random
+// inputs, BDD functions, and the NAND2/INV subject graph in both
+// decomposition shapes.
 func TestCarriersAgree(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for _, c := range gateCases() {
@@ -91,16 +91,20 @@ func TestCarriersAgree(t *testing.T) {
 			want[m] = logic.EvalGate(c.t, vectors[m])
 		}
 
-		ps, err := sim.NewPacked(nw)
+		words := make([]uint64, c.k)
+		for m, v := range vectors {
+			for j, b := range v {
+				if b {
+					words[j] |= 1 << m
+				}
+			}
+		}
+		packed, err := logic.Fold(logic.Words{}, c.t, words)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var st sim.PackedState
-		if _, err := ps.RunCapture(vectors, &st); err != nil {
-			t.Fatal(err)
-		}
 		for m, w := range want {
-			if got := st.Blocks[0][g]>>m&1 == 1; got != w {
+			if got := packed>>m&1 == 1; got != w {
 				t.Errorf("%s/%d: packed lane %d = %v, want %v", c.t, c.k, m, got, w)
 			}
 		}

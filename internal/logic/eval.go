@@ -123,38 +123,106 @@ func (nw *Network) EvalComb(in []bool) ([]bool, error) {
 	return s.Step(in)
 }
 
-// TruthTable enumerates all 2^n input vectors of a combinational network
-// with n <= 20 primary inputs and returns, for each primary output, a
-// bitset of minterms where the output is 1 (bit i corresponds to the input
-// vector whose bit j is PI j's value, PI 0 least significant).
-func (nw *Network) TruthTable() ([][]uint64, error) {
+// MaxExhaustiveInputs is the widest network TruthTable and Equivalent
+// enumerate: 2^20 rows, 16,384 packed blocks.
+const MaxExhaustiveInputs = 20
+
+// ExhaustiveBlocks is the number of 64-row blocks TruthTable and
+// Equivalent evaluate per network of n inputs.
+func ExhaustiveBlocks(n int) int { return 1 << max(0, n-6) }
+
+// rowPatterns are the input words of PIs 0-5 in every 64-row block: bit m
+// of rowPatterns[j] is bit j of m, so lane m holds row 64*b + m.
+var rowPatterns = [6]uint64{
+	0xAAAAAAAAAAAAAAAA,
+	0xCCCCCCCCCCCCCCCC,
+	0xF0F0F0F0F0F0F0F0,
+	0xFF00FF00FF00FF00,
+	0xFFFF0000FFFF0000,
+	0xFFFFFFFF00000000,
+}
+
+// blockEval evaluates a combinational network over its exhaustive input
+// space 64 rows at a time: block b holds rows 64*b .. 64*b+63, where bit j
+// of a row is PI j's value. It allocates only at construction, O(nodes).
+type blockEval struct {
+	nw     *Network
+	order  []*Node
+	val    []uint64 // packed row values per node
+	buf    []uint64 // fanin words gathered for one node
+	mask   uint64   // valid lanes: all 64 unless the network has < 6 inputs
+	blocks int
+}
+
+func newBlockEval(nw *Network) (*blockEval, error) {
 	n := len(nw.pis)
-	if n > 20 {
-		return nil, fmt.Errorf("logic: TruthTable on %d inputs (max 20)", n)
+	if n > MaxExhaustiveInputs {
+		return nil, fmt.Errorf("logic: exhaustive evaluation of %q on %d inputs (max %d)", nw.Name, n, MaxExhaustiveInputs)
 	}
 	if len(nw.ffs) != 0 {
-		return nil, fmt.Errorf("logic: TruthTable on sequential network %q", nw.Name)
+		return nil, fmt.Errorf("logic: exhaustive evaluation of sequential network %q", nw.Name)
 	}
-	rows := 1 << n
-	words := (rows + 63) / 64
+	ids, err := nw.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+	e := &blockEval{nw: nw, order: make([]*Node, len(ids)), val: make([]uint64, len(nw.nodes)),
+		mask: ^uint64(0), blocks: ExhaustiveBlocks(n)}
+	for i, id := range ids {
+		e.order[i] = nw.nodes[id]
+	}
+	if n < 6 {
+		e.mask = 1<<(1<<n) - 1
+	}
+	return e, nil
+}
+
+// eval settles block b: PIs 0-5 take the fixed row patterns, PIs 6 and
+// up a constant word from bit j-6 of the block index.
+func (e *blockEval) eval(b int) error {
+	for j, pi := range e.nw.pis {
+		w := uint64(0)
+		switch {
+		case j < len(rowPatterns):
+			w = rowPatterns[j]
+		case b>>(j-len(rowPatterns))&1 == 1:
+			w = ^uint64(0)
+		}
+		e.val[pi] = w
+	}
+	for _, n := range e.order {
+		w, err := FoldNode(Words{}, n, e.val, &e.buf)
+		if err != nil {
+			return err
+		}
+		e.val[n.ID] = w
+	}
+	return nil
+}
+
+// po returns output i's word of the settled block, rows beyond 2^n masked.
+func (e *blockEval) po(i int) uint64 { return e.val[e.nw.pos[i]] & e.mask }
+
+// TruthTable enumerates all 2^n input vectors of a combinational network
+// with n <= MaxExhaustiveInputs primary inputs and returns, for each
+// primary output, a bitset of minterms where the output is 1 (bit i
+// corresponds to the input vector whose bit j is PI j's value, PI 0 least
+// significant).
+func (nw *Network) TruthTable() ([][]uint64, error) {
+	e, err := newBlockEval(nw)
+	if err != nil {
+		return nil, err
+	}
 	tt := make([][]uint64, len(nw.pos))
 	for i := range tt {
-		tt[i] = make([]uint64, words)
+		tt[i] = make([]uint64, e.blocks)
 	}
-	st := NewState(nw)
-	in := make([]bool, n)
-	for m := 0; m < rows; m++ {
-		for j := 0; j < n; j++ {
-			in[j] = m&(1<<j) != 0
-		}
-		out, err := st.Step(in)
-		if err != nil {
+	for b := 0; b < e.blocks; b++ {
+		if err := e.eval(b); err != nil {
 			return nil, err
 		}
-		for i, v := range out {
-			if v {
-				tt[i][m/64] |= 1 << (m % 64)
-			}
+		for i := range tt {
+			tt[i][b] = e.po(i)
 		}
 	}
 	return tt, nil
@@ -162,23 +230,32 @@ func (nw *Network) TruthTable() ([][]uint64, error) {
 
 // Equivalent reports whether two combinational networks with the same
 // number of inputs and outputs compute the same functions, by exhaustive
-// simulation (inputs are matched by position). Both must have <= 20 inputs.
+// simulation (inputs and outputs are matched by position). Both networks
+// are evaluated block by block in lockstep, so memory is O(nodes) whatever
+// the number of outputs, and the first differing block ends the check.
+// Both must have <= MaxExhaustiveInputs inputs.
 func Equivalent(a, b *Network) (bool, error) {
-	if len(a.PIs()) != len(b.PIs()) || len(a.POs()) != len(b.POs()) {
+	if len(a.pis) != len(b.pis) || len(a.pos) != len(b.pos) {
 		return false, fmt.Errorf("logic: Equivalent on mismatched interfaces (%d/%d inputs, %d/%d outputs)",
-			len(a.PIs()), len(b.PIs()), len(a.POs()), len(b.POs()))
+			len(a.pis), len(b.pis), len(a.pos), len(b.pos))
 	}
-	ta, err := a.TruthTable()
+	ea, err := newBlockEval(a)
 	if err != nil {
 		return false, err
 	}
-	tb, err := b.TruthTable()
+	eb, err := newBlockEval(b)
 	if err != nil {
 		return false, err
 	}
-	for i := range ta {
-		for w := range ta[i] {
-			if ta[i][w] != tb[i][w] {
+	for blk := 0; blk < ea.blocks; blk++ {
+		if err := ea.eval(blk); err != nil {
+			return false, err
+		}
+		if err := eb.eval(blk); err != nil {
+			return false, err
+		}
+		for i := range a.pos {
+			if ea.po(i) != eb.po(i) {
 				return false, nil
 			}
 		}

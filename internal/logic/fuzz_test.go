@@ -13,9 +13,12 @@ import (
 // an error or yields a network that cycle-steps (and, when small and
 // combinational, truth-tables) without panicking. Malformed structure
 // discovered after parse time — e.g. combinational cycles — must surface
-// as returned errors from evaluation, never as crashes. Seeds come from
-// the circuit generators serialized through WriteBLIF, so the fuzzer
-// starts from realistic well-formed netlists and mutates from there.
+// as returned errors from evaluation, never as crashes. For combinational
+// networks of up to 10 inputs it also cross-checks every packed
+// TruthTable row against the scalar evaluator (State.Step, which
+// EvalComb wraps). Seeds come from the circuit generators serialized
+// through WriteBLIF, so the fuzzer starts from realistic well-formed
+// netlists and mutates from there.
 func FuzzEvalNetwork(f *testing.F) {
 	seeds := []func() (*logic.Network, error){
 		func() (*logic.Network, error) { return circuits.RippleAdder(4) },
@@ -62,9 +65,28 @@ func FuzzEvalNetwork(f *testing.F) {
 				return // e.g. a combinational cycle: a typed error, not a panic
 			}
 		}
-		if npi <= 8 && len(nw.FFs()) == 0 {
-			if _, err := nw.TruthTable(); err != nil {
-				return
+		// Small combinational networks: every packed truth-table row must
+		// match the scalar evaluator. Step settled above, so the packed
+		// path must not fail, and without flip-flops Step keeps no state
+		// from one row to the next.
+		if npi <= 10 && len(nw.FFs()) == 0 {
+			tt, err := nw.TruthTable()
+			if err != nil {
+				t.Fatalf("TruthTable failed where Step settled: %v", err)
+			}
+			for m := 0; m < 1<<npi; m++ {
+				for j := range in {
+					in[j] = m>>j&1 == 1
+				}
+				out, err := st.Step(in)
+				if err != nil {
+					t.Fatalf("Step row %d: %v", m, err)
+				}
+				for i, v := range out {
+					if got := tt[i][m/64]>>(m%64)&1 == 1; got != v {
+						t.Fatalf("output %d row %d: packed %v, scalar %v", i, m, got, v)
+					}
+				}
 			}
 		}
 	})

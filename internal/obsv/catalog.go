@@ -40,17 +40,20 @@ var catalog = map[string]MetricInfo{
 	"bdd.reorder.swaps":   {Type: "counter", Help: "Adjacent-level swaps performed while sifting."},
 	"bdd.reorder.saved":   {Type: "counter", Help: "Live BDD nodes eliminated by sifting reorder passes."},
 
-	"power.exact.nodes":    {Type: "counter", Help: "Nodes evaluated by the exact (BDD) estimator."},
-	"power.exact.degraded": {Type: "counter", Help: "Exact estimates degraded to seeded Monte Carlo on budget trip."},
+	"power.exact.nodes":     {Type: "counter", Help: "Nodes evaluated by the exact (BDD) estimator."},
+	"power.exact.degraded":  {Type: "counter", Help: "Exact estimates degraded to seeded Monte Carlo on budget trip."},
 	"power.exact.reordered": {Type: "counter", Help: "Exact estimates rescued by the reorder-retry rung before Monte Carlo."},
-	"power.prop.nodes":     {Type: "counter", Help: "Nodes propagated by the independence-assumption estimator."},
-	"power.density.diffs":  {Type: "counter", Help: "Boolean differences computed by the density estimator."},
+	"power.prop.nodes":      {Type: "counter", Help: "Nodes propagated by the independence-assumption estimator."},
+	"power.density.diffs":   {Type: "counter", Help: "Boolean differences computed by the density estimator."},
 
 	"flow.incr.measures":        {Type: "counter", Help: "Measurements taken by incremental flow estimators (cone splices and full recomputes)."},
 	"flow.incr.full_recomputes": {Type: "counter", Help: "Incremental measurements that fell back to a from-scratch recompute."},
 	"flow.incr.cone_nodes":      {Type: "counter", Help: "Dirty-cone nodes re-derived by incremental measurements."},
 	"flow.incr.clean_nodes":     {Type: "counter", Help: "Live combinational nodes reused from the carried baseline."},
 	"flow.incr.reuse_frac":      {Type: "gauge", Help: "Reused fraction of the last incremental measurement: clean / (cone + clean)."},
+
+	"flow.verify.exhaustive": {Type: "counter", Help: "Flow passes checked by packed exhaustive equivalence against the flow's input network."},
+	"flow.verify.skipped":    {Type: "counter", Help: "Flow passes left unverified (verification off, sequential, or more than 20 inputs)."},
 
 	"lpflow.pass.*.ns":     {Type: "timer", Help: "Wall time of one optimization flow pass."},
 	"lpflow.pass.*.dpower": {Type: "gauge", Help: "Simulated-power delta of the pass (negative = saved)."},

@@ -793,7 +793,8 @@ type FlowRequest struct {
 	// Seed drives the flow context's vector generation (default 1).
 	Seed int64 `json:"seed,omitempty"`
 	// Verify enables per-pass equivalence checking (default true; only
-	// effective for combinational networks with <= 16 inputs).
+	// effective for combinational networks with <= 20 inputs). The
+	// response's Verified field says whether every pass was checked.
 	Verify      *bool `json:"verify,omitempty"`
 	BDDMaxNodes int   `json:"bdd_max_nodes,omitempty"`
 	BDDMaxSteps int64 `json:"bdd_max_steps,omitempty"`
@@ -834,6 +835,10 @@ type FlowResponse struct {
 	Steps     []SnapshotJSON `json:"steps"`
 	// SimPowerRatio is final/initial simulated power (1.0 = unchanged).
 	SimPowerRatio float64 `json:"sim_power_ratio"`
+	// Verified is true when every pass was checked by exhaustive
+	// equivalence against the input circuit; false when verification
+	// was off or the circuit is sequential or wider than 20 inputs.
+	Verified bool `json:"verified"`
 }
 
 // flowSpec is a validated, default-filled FlowRequest.
@@ -918,6 +923,7 @@ func (s *Server) flowResult(ctx context.Context, ent *netEntry, spec flowSpec) (
 			FinalHash: logic.StructuralHash(nw),
 			Passes:    spec.flow.Passes,
 			Steps:     []SnapshotJSON{},
+			Verified:  frep.Verified(),
 		}
 		for _, snap := range frep.Steps {
 			resp.Steps = append(resp.Steps, SnapshotJSON{

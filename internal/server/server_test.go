@@ -235,6 +235,10 @@ func TestFlowDoesNotMutateCachedNetwork(t *testing.T) {
 	if frep.SimPowerRatio <= 0 || frep.SimPowerRatio > 1.5 {
 		t.Errorf("implausible sim power ratio %v", frep.SimPowerRatio)
 	}
+	// radd8's 17 inputs are within the exhaustive verifier's reach.
+	if !frep.Verified {
+		t.Error("radd8 glitch flow not reported verified")
+	}
 
 	// A post-flow estimate with options nothing used before (result-cache
 	// miss) must be recomputed from the cached network — and match a
@@ -285,6 +289,30 @@ func TestBudgetTripDoesNotPoisonLaterRequests(t *testing.T) {
 	_, wantBody, _ := post(t, fresh, "/v1/estimate", clean)
 	if !bytes.Equal(gotBody, wantBody) {
 		t.Errorf("post-trip clean estimate differs from a never-tripped server:\ngot:  %s\nwant: %s", gotBody, wantBody)
+	}
+}
+
+// TestFlowReportsUnverified: a flow run with verification off says so in
+// its body, and is a separate cache entry from the verified run.
+func TestFlowReportsUnverified(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	off := false
+	for _, c := range []struct {
+		verify *bool
+		want   bool
+	}{{nil, true}, {&off, false}} {
+		status, body, _ := post(t, ts, "/v1/flow",
+			FlowRequest{circuitRef: circuitRef{Circuit: "mult4"}, Flow: "glitch", Verify: c.verify})
+		if status != http.StatusOK {
+			t.Fatalf("flow: status %d body %s", status, body)
+		}
+		var frep FlowResponse
+		if err := json.Unmarshal(body, &frep); err != nil {
+			t.Fatal(err)
+		}
+		if frep.Verified != c.want {
+			t.Errorf("verified = %v, want %v", frep.Verified, c.want)
+		}
 	}
 }
 

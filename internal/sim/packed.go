@@ -184,7 +184,7 @@ func (ps *PackedSimulator) run(vectors [][]bool, st *PackedState) (Totals, error
 			mask = 1<<uint(k) - 1
 		}
 		for _, n := range ps.order {
-			w, err := logic.FoldNode(lanes{}, n, ps.val, &ps.buf)
+			w, err := logic.FoldNode(logic.Words{}, n, ps.val, &ps.buf)
 			if err != nil {
 				return tot, err
 			}
@@ -208,45 +208,6 @@ func (ps *PackedSimulator) run(vectors [][]bool, st *PackedState) (Totals, error
 	}
 	tot.Useful = tot.Transitions
 	return tot, nil
-}
-
-// lanes is the packed carrier of the gate algebra: bit j of a word is
-// the node's value under vector j. The full run and incremental cone
-// re-evaluation both fold through it, which is what makes the
-// incremental path bit-identical by construction.
-type lanes struct{}
-
-func (lanes) Const(v bool) uint64 {
-	if v {
-		return ^uint64(0)
-	}
-	return 0
-}
-
-func (lanes) Not(w uint64) uint64 { return ^w }
-
-func (lanes) And(in []uint64) uint64 {
-	w := in[0]
-	for _, x := range in[1:] {
-		w &= x
-	}
-	return w
-}
-
-func (lanes) Or(in []uint64) uint64 {
-	w := in[0]
-	for _, x := range in[1:] {
-		w |= x
-	}
-	return w
-}
-
-func (lanes) Xor(in []uint64) uint64 {
-	w := in[0]
-	for _, x := range in[1:] {
-		w ^= x
-	}
-	return w
 }
 
 // Cycles returns the number of cycles simulated since the last Reset.
