@@ -180,7 +180,7 @@ func BenchmarkBDDBuildMultiplier(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bdd.FromNetwork(nw); err != nil {
+		if _, err := bdd.FromNetwork(context.Background(), nw, bdd.BuildOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -193,7 +193,7 @@ func BenchmarkExactProbabilities(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := power.ExactProbabilities(nw, nil); err != nil {
+		if _, err := power.ExactProbabilities(context.Background(), nw, nil, bdd.Budget{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -387,7 +387,7 @@ func BenchmarkAblationEstimatorLadder(b *testing.B) {
 	vecs := sim.RandomVectors(r, 300, len(nw.PIs()), 0.5)
 	var zd, dens, simP float64
 	for i := 0; i < b.N; i++ {
-		ze, err := power.EstimateExact(nw, p, nil, nil)
+		ze, err := power.EstimateExactCtx(context.Background(), nw, p, nil, nil, power.ExactOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -399,7 +399,7 @@ func BenchmarkAblationEstimatorLadder(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		se, _, err := power.EstimateSimulated(nw, p, nil, sim.UnitDelay, vecs)
+		se, _, err := power.EstimateSimulatedParallelCtx(context.Background(), nw, p, nil, sim.UnitDelay, vecs, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -631,7 +631,7 @@ func BenchmarkFlowIncrementalVsFull(b *testing.B) {
 			fctx.ExtraPasses[name] = benchRewritePass(name)
 			flow.Passes = append(flow.Passes, name)
 		}
-		rep, err := core.RunFlow(nw, flow, fctx)
+		rep, err := core.RunFlowCtx(context.Background(), nw, flow, fctx)
 		if err != nil {
 			return "", err
 		}
@@ -669,7 +669,7 @@ func BenchmarkFlowIncrementalVsFull(b *testing.B) {
 }
 
 // BenchmarkMonteCarloParallel measures the sharded event-driven power
-// estimation (power.EstimateSimulatedParallel) at several worker counts.
+// estimation (power.EstimateSimulatedParallelCtx) at several worker counts.
 // Reports are bit-identical across sub-benchmarks; only wall clock may
 // differ, and only when GOMAXPROCS > 1.
 func BenchmarkMonteCarloParallel(b *testing.B) {
@@ -683,7 +683,7 @@ func BenchmarkMonteCarloParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run("workers"+strconv.Itoa(workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := power.EstimateSimulatedParallel(nw, p, nil, sim.UnitDelay, vecs, workers); err != nil {
+				if _, _, err := power.EstimateSimulatedParallelCtx(context.Background(), nw, p, nil, sim.UnitDelay, vecs, workers); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -705,7 +705,7 @@ func BenchmarkBddSiftVsFixed(b *testing.B) {
 	b.Run("fixed", func(b *testing.B) {
 		nodes := 0
 		for i := 0; i < b.N; i++ {
-			nb, err := bdd.FromNetwork(nw)
+			nb, err := bdd.FromNetwork(context.Background(), nw, bdd.BuildOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -716,8 +716,8 @@ func BenchmarkBddSiftVsFixed(b *testing.B) {
 	b.Run("sifted", func(b *testing.B) {
 		nodes := 0
 		for i := 0; i < b.N; i++ {
-			nb, err := bdd.FromNetworkOpts(context.Background(), nw, bdd.BuildOptions{
-				Reorder: bdd.ReorderPolicy{Enable: true},
+			nb, err := bdd.FromNetwork(context.Background(), nw, bdd.BuildOptions{
+				Reorder: true,
 			})
 			if err != nil {
 				b.Fatal(err)

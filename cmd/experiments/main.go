@@ -105,7 +105,7 @@ func main() {
 	var tables []*experiments.Table
 	var failures []experiments.Failure
 	failed := 0
-	for _, res := range experiments.RunAllCtx(ctx, selected, *parallel, *perTimeout) {
+	for _, res := range experiments.RunAll(ctx, selected, *parallel, *perTimeout) {
 		span := profile.Span{Name: res.ID, Cat: "experiment", StartNs: res.StartNs, DurNs: res.DurNs}
 		span.Args = map[string]interface{}{}
 		if res.Err != nil {

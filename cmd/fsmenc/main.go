@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -76,7 +77,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		rep, err := power.EstimateExact(nw, params, nil, probs)
+		rep, err := power.EstimateExactCtx(context.Background(), nw, params, nil, probs, power.ExactOptions{})
 		if err != nil {
 			fatal(err)
 		}

@@ -84,7 +84,7 @@ func main() {
 	fmt.Printf("transition density: %s\n", dense)
 	r := rand.New(rand.NewSource(*seed))
 	vecs := sim.RandomVectors(r, *vectors, len(nw.PIs()), *p1)
-	simRep, tot, err := power.EstimateSimulated(nw, params, nil, sim.UnitDelay, vecs)
+	simRep, tot, err := power.EstimateSimulatedParallelCtx(context.Background(), nw, params, nil, sim.UnitDelay, vecs, 0)
 	if err != nil {
 		fatal(err)
 	}

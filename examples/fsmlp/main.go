@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -41,7 +42,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep, err := power.EstimateExact(nw, params, nil, probs)
+		rep, err := power.EstimateExactCtx(context.Background(), nw, params, nil, probs, power.ExactOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

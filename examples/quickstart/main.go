@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -24,7 +25,7 @@ func main() {
 
 	// 2. Estimate power (Eqn. 1 of the survey) three ways.
 	params := power.DefaultParams()
-	exact, err := power.EstimateExact(nw, params, nil, nil)
+	exact, err := power.EstimateExactCtx(context.Background(), nw, params, nil, nil, power.ExactOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func main() {
 
 	r := rand.New(rand.NewSource(42))
 	vecs := sim.RandomVectors(r, 500, len(nw.PIs()), 0.5)
-	simRep, totals, err := power.EstimateSimulated(nw, params, nil, sim.UnitDelay, vecs)
+	simRep, totals, err := power.EstimateSimulatedParallelCtx(context.Background(), nw, params, nil, sim.UnitDelay, vecs, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func main() {
 	// 3. Run the low-power flow: don't-care optimization then path
 	// balancing, with power measured after every pass.
 	ctx := core.NewContext(nw, 42)
-	rep, err := core.RunFlow(nw, core.StandardFlows()["lowpower"], ctx)
+	rep, err := core.RunFlowCtx(context.Background(), nw, core.StandardFlows()["lowpower"], ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package balance
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -197,11 +198,11 @@ func TestBalancePowerTradeoff(t *testing.T) {
 	fullCap := power.BufferWeightedCap(1.0)
 
 	before := mk()
-	repBmin, totB, err := power.EstimateSimulated(before, p, minCap, sim.UnitDelay, vecs)
+	repBmin, totB, err := power.EstimateSimulatedParallelCtx(context.Background(), before, p, minCap, sim.UnitDelay, vecs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repBfull, _, err := power.EstimateSimulated(before, p, fullCap, sim.UnitDelay, vecs)
+	repBfull, _, err := power.EstimateSimulatedParallelCtx(context.Background(), before, p, fullCap, sim.UnitDelay, vecs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,11 +210,11 @@ func TestBalancePowerTradeoff(t *testing.T) {
 	if _, err := Balance(after, Options{MaxSkew: 0}); err != nil {
 		t.Fatal(err)
 	}
-	repAmin, totA, err := power.EstimateSimulated(after, p, minCap, sim.UnitDelay, vecs)
+	repAmin, totA, err := power.EstimateSimulatedParallelCtx(context.Background(), after, p, minCap, sim.UnitDelay, vecs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repAfull, _, err := power.EstimateSimulated(after, p, fullCap, sim.UnitDelay, vecs)
+	repAfull, _, err := power.EstimateSimulatedParallelCtx(context.Background(), after, p, fullCap, sim.UnitDelay, vecs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

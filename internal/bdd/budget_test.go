@@ -77,11 +77,11 @@ func TestBudgetUnhitIsIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := FromNetwork(nw)
+	plain, err := FromNetwork(context.Background(), nw, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	budgeted, err := FromNetworkCtx(context.Background(), nw, Budget{MaxNodes: 1 << 20, MaxSteps: 1 << 40})
+	budgeted, err := FromNetwork(context.Background(), nw, BuildOptions{Budget: Budget{MaxNodes: 1 << 20, MaxSteps: 1 << 40}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestFromNetworkCtxBudgetTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = FromNetworkCtx(context.Background(), nw, Budget{MaxNodes: 16})
+	_, err = FromNetwork(context.Background(), nw, BuildOptions{Budget: Budget{MaxNodes: 16}})
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("tiny node budget: err = %v, want ErrBudgetExceeded", err)
 	}
@@ -113,8 +113,8 @@ func TestFromNetworkCtxCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := FromNetworkCtx(ctx, nw, Budget{}); err == nil {
-		t.Fatal("cancelled context did not abort FromNetworkCtx")
+	if _, err := FromNetwork(ctx, nw, BuildOptions{}); err == nil {
+		t.Fatal("cancelled context did not abort FromNetwork")
 	}
 }
 
@@ -126,7 +126,7 @@ func TestFromNetworkCtxDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	time.Sleep(time.Millisecond) // guarantee the deadline has passed
-	if _, err := FromNetworkCtx(ctx, nw, Budget{}); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err := FromNetwork(ctx, nw, BuildOptions{}); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("expired deadline: err = %v, want ErrBudgetExceeded", err)
 	}
 }
@@ -186,11 +186,11 @@ func TestSetContextClassifiesByCancellability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := FromNetworkCtx(context.Background(), nw, Budget{})
+	plain, err := FromNetwork(context.Background(), nw, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrapped, err := FromNetworkCtx(context.WithValue(context.Background(), ctxKey{}, "trace"), nw, Budget{})
+	wrapped, err := FromNetwork(context.WithValue(context.Background(), ctxKey{}, "trace"), nw, BuildOptions{})
 	if err != nil {
 		t.Fatalf("value-wrapped background context errored: %v", err)
 	}

@@ -26,29 +26,24 @@ type NetworkBDDs struct {
 	roots []Ref
 }
 
-// ReorderPolicy controls dynamic variable reordering during a network
-// build. When enabled, the builder sifts the manager whenever the live
-// node count crosses a threshold, then doubles the trigger — the classic
-// dynamic-reordering schedule.
-type ReorderPolicy struct {
-	// Enable turns dynamic reordering on.
-	Enable bool
-	// Threshold is the live node count that triggers the first reorder.
-	// 0 means min(4096, Budget.MaxNodes/2), floored at 64.
-	Threshold int
-	// MaxGrowth and MaxVars are passed through to ReorderOptions.
-	MaxGrowth float64
-	MaxVars   int
+// BuildOptions bundles the knobs of a network build. The zero value
+// builds without a budget in declaration order.
+type BuildOptions struct {
+	// Budget bounds the build; see FromNetwork.
+	Budget Budget
+	// Reorder turns on dynamic variable reordering: the builder sifts the
+	// manager whenever the live node count crosses a threshold, then
+	// doubles the trigger — the classic dynamic-reordering schedule. The
+	// first trigger is min(4096, Budget.MaxNodes/2), floored at 64.
+	Reorder bool
 }
 
-// threshold resolves the first trigger point against a budget.
-func (p ReorderPolicy) threshold(b Budget) int {
-	th := p.Threshold
-	if th <= 0 {
-		th = 4096
-		if b.MaxNodes > 0 && b.MaxNodes/2 < th {
-			th = b.MaxNodes / 2
-		}
+// reorderThreshold resolves the first reorder trigger point against a
+// budget.
+func reorderThreshold(b Budget) int {
+	th := 4096
+	if b.MaxNodes > 0 && b.MaxNodes/2 < th {
+		th = b.MaxNodes / 2
 	}
 	if th < 64 {
 		th = 64
@@ -56,45 +51,26 @@ func (p ReorderPolicy) threshold(b Budget) int {
 	return th
 }
 
-// BuildOptions bundles the knobs of a budgeted, optionally reordering
-// network build. The zero value is exactly FromNetwork.
-type BuildOptions struct {
-	Budget  Budget
-	Reorder ReorderPolicy
-}
-
 // FromNetwork builds global BDDs for every node of the network. Primary
 // inputs take variables 0..|PI|-1 in declaration order, then flip-flop
 // outputs. Sequential networks are handled by treating FF outputs as free
 // inputs (the standard combinational abstraction).
-func FromNetwork(nw *logic.Network) (*NetworkBDDs, error) {
-	return FromNetworkCtx(context.Background(), nw, Budget{})
-}
-
-// FromNetworkCtx is FromNetwork under a resource budget and a context.
+//
 // When the manager's budget trips or ctx is cancelled mid-build, the
 // partial BDDs are discarded and the manager's typed error (a *BudgetError
-// matching ErrBudgetExceeded, or the context error) is returned. With a
-// zero budget and a background context it is exactly FromNetwork.
-func FromNetworkCtx(ctx context.Context, nw *logic.Network, b Budget) (*NetworkBDDs, error) {
-	return FromNetworkOpts(ctx, nw, BuildOptions{Budget: b})
-}
-
-// FromNetworkOpts is FromNetworkCtx with an explicit options bundle,
-// notably dynamic variable reordering: with Reorder.Enable the build
-// sifts the variable order whenever the live node count crosses the
-// policy threshold, which lets circuits whose declaration order is
-// pathological (e.g. wide comparators) fit budgets the fixed order
-// cannot.
-func FromNetworkOpts(ctx context.Context, nw *logic.Network, opt BuildOptions) (*NetworkBDDs, error) {
+// matching ErrBudgetExceeded, or the context error) is returned. With
+// opt.Reorder the build sifts the variable order as it goes, which lets
+// circuits whose declaration order is pathological (e.g. wide
+// comparators) fit budgets the fixed order cannot.
+func FromNetwork(ctx context.Context, nw *logic.Network, opt BuildOptions) (*NetworkBDDs, error) {
 	ctx, sp := trace.Start(ctx, "bdd.build")
-	nb, err := fromNetworkOpts(ctx, nw, opt)
+	nb, err := fromNetwork(ctx, nw, opt)
 	if sp != nil {
 		if nb != nil {
 			sp.SetAttr("nodes", nb.M.Size())
 			sp.SetAttr("steps", nb.M.Steps())
 		}
-		if opt.Reorder.Enable {
+		if opt.Reorder {
 			sp.SetAttr("reorder", true)
 		}
 		if err != nil {
@@ -105,7 +81,7 @@ func FromNetworkOpts(ctx context.Context, nw *logic.Network, opt BuildOptions) (
 	return nb, err
 }
 
-func fromNetworkOpts(ctx context.Context, nw *logic.Network, opt BuildOptions) (*NetworkBDDs, error) {
+func fromNetwork(ctx context.Context, nw *logic.Network, opt BuildOptions) (*NetworkBDDs, error) {
 	srcs := append(append([]logic.NodeID(nil), nw.PIs()...), nw.FFs()...)
 	m := New(len(srcs))
 	m.SetBudget(opt.Budget)
@@ -123,22 +99,19 @@ func fromNetworkOpts(ctx context.Context, nw *logic.Network, opt BuildOptions) (
 		nb.roots = append(nb.roots, f)
 	}
 	next := 0
-	if opt.Reorder.Enable {
-		next = opt.Reorder.threshold(opt.Budget)
+	if opt.Reorder {
+		next = reorderThreshold(opt.Budget)
 	}
 	err := build(ctx, m, nw, nb.Fn, logic.InvalidNode, False, func(f Ref) error {
 		nb.roots = append(nb.roots, f)
-		if !opt.Reorder.Enable || m.live < next {
+		if !opt.Reorder || m.live < next {
 			return nil
 		}
-		if _, err := m.Reorder(nb.roots, ReorderOptions{
-			MaxGrowth: opt.Reorder.MaxGrowth,
-			MaxVars:   opt.Reorder.MaxVars,
-		}); err != nil {
+		if _, err := m.Reorder(nb.roots); err != nil {
 			return err
 		}
 		next = 2 * m.live
-		if th := opt.Reorder.threshold(opt.Budget); next < th {
+		if th := reorderThreshold(opt.Budget); next < th {
 			next = th
 		}
 		return nil
@@ -207,7 +180,7 @@ func (nb *NetworkBDDs) Cut(nw *logic.Network, id logic.NodeID) (map[logic.NodeID
 // Reorder sifts the manager's variable order, pinning every node
 // function ever built so all Fn refs stay valid. It returns the sifting
 // statistics.
-func (nb *NetworkBDDs) Reorder(opt ReorderOptions) (ReorderStats, error) {
+func (nb *NetworkBDDs) Reorder() (ReorderStats, error) {
 	roots := nb.roots
 	if roots == nil {
 		// A NetworkBDDs assembled by hand: fall back to the Fn map in
@@ -221,7 +194,7 @@ func (nb *NetworkBDDs) Reorder(opt ReorderOptions) (ReorderStats, error) {
 			roots = append(roots, nb.Fn[id])
 		}
 	}
-	return nb.M.Reorder(roots, opt)
+	return nb.M.Reorder(roots)
 }
 
 // refs is the BDD carrier of the gate algebra.

@@ -1,6 +1,7 @@
 package bdd
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -19,7 +20,7 @@ func TestFromNetworkMux(t *testing.T) {
 	if err := nw.MarkOutput(o); err != nil {
 		t.Fatal(err)
 	}
-	nb, err := FromNetwork(nw)
+	nb, err := FromNetwork(context.Background(), nw, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestFromNetworkAllGates(t *testing.T) {
 	}
 	k0, _ := nw.AddConst("k0", false)
 	k1, _ := nw.AddConst("k1", true)
-	nb, err := FromNetwork(nw)
+	nb, err := FromNetwork(context.Background(), nw, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestFromNetworkSequential(t *testing.T) {
 	if err := nw.MarkOutput(q); err != nil {
 		t.Fatal(err)
 	}
-	nb, err := FromNetwork(nw)
+	nb, err := FromNetwork(context.Background(), nw, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestFromNetworkAgainstTruthTable(t *testing.T) {
 	if err := nw.MarkOutput(o); err != nil {
 		t.Fatal(err)
 	}
-	nb, err := FromNetwork(nw)
+	nb, err := FromNetwork(context.Background(), nw, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,17 +2,10 @@ package bdd
 
 import "sort"
 
-// ReorderOptions tunes Rudell-style sifting. The zero value sifts every
-// variable with a 1.2x growth cap.
-type ReorderOptions struct {
-	// MaxGrowth caps how far the live node count may grow past the best
-	// size seen while a variable is in flight before the sift direction
-	// is abandoned. Values <= 1 mean the default 1.2.
-	MaxGrowth float64
-	// MaxVars limits how many variables are sifted (most-populated
-	// levels first). 0 means all of them.
-	MaxVars int
-}
+// siftMaxGrowth caps how far the live node count may grow past the best
+// size seen while a variable is in flight before the sift direction is
+// abandoned.
+const siftMaxGrowth = 1.2
 
 // ReorderStats reports what a Reorder call did.
 type ReorderStats struct {
@@ -24,7 +17,8 @@ type ReorderStats struct {
 
 // Reorder runs sifting-based dynamic variable reordering: each variable
 // is moved through the order by in-place adjacent-level swaps and left at
-// the position minimizing the live node count, subject to the growth cap.
+// the position minimizing the live node count, subject to the growth cap
+// siftMaxGrowth. Every variable is sifted, most-populated levels first.
 //
 // roots must list every Ref the caller still holds; everything not
 // reachable from them is garbage-collected into the manager's free list
@@ -36,15 +30,11 @@ type ReorderStats struct {
 // between swaps. On a trip the manager is poisoned as usual and the
 // sticky error returned; swaps themselves are atomic, so the graph stays
 // structurally consistent even then.
-func (m *Manager) Reorder(roots []Ref, opt ReorderOptions) (ReorderStats, error) {
+func (m *Manager) Reorder(roots []Ref) (ReorderStats, error) {
 	if m.checked && m.err != nil {
 		return ReorderStats{}, m.err
 	}
-	growth := opt.MaxGrowth
-	if growth <= 1 {
-		growth = 1.2
-	}
-	s := &sifter{m: m, maxGrowth: growth}
+	s := &sifter{m: m}
 	s.init(roots)
 	st := ReorderStats{Before: s.size}
 
@@ -59,17 +49,13 @@ func (m *Manager) Reorder(roots []Ref, opt ReorderOptions) (ReorderStats, error)
 		loads[l] = varLoad{v: int(m.level2var[l]), pop: len(s.bucket(l))}
 	}
 	sort.SliceStable(loads, func(i, j int) bool { return loads[i].pop > loads[j].pop })
-	maxVars := opt.MaxVars
-	if maxVars <= 0 || maxVars > m.nvars {
-		maxVars = m.nvars
-	}
 
 	var err error
-	for i := 0; i < maxVars; i++ {
-		if loads[i].pop == 0 {
+	for _, ld := range loads {
+		if ld.pop == 0 {
 			continue // nothing tests this variable; moving it is a no-op
 		}
-		if err = s.sift(loads[i].v); err != nil {
+		if err = s.sift(ld.v); err != nil {
 			break
 		}
 		st.Vars++
@@ -89,14 +75,13 @@ func (m *Manager) Reorder(roots []Ref, opt ReorderOptions) (ReorderStats, error)
 // edges plus root pins), per-level node lists, and the live internal node
 // count that sifting minimizes.
 type sifter struct {
-	m         *Manager
-	rc        []int32 // per-Ref: incoming edges from live nodes + root pins
-	buckets   [][]Ref // per-level live node lists; lazily filtered
-	stamp     []int32 // per-Ref dedup stamp for bucket filtering
-	stampGen  int32
-	size      int // live internal nodes
-	swaps     int
-	maxGrowth float64
+	m        *Manager
+	rc       []int32 // per-Ref: incoming edges from live nodes + root pins
+	buckets  [][]Ref // per-level live node lists; lazily filtered
+	stamp    []int32 // per-Ref dedup stamp for bucket filtering
+	stampGen int32
+	size     int // live internal nodes
+	swaps    int
 }
 
 // init builds reference counts from the arena, garbage-collects
@@ -344,13 +329,13 @@ func (s *sifter) check() error {
 // sift moves variable v through the whole order (nearer end first),
 // remembers the position minimizing the live node count, and moves it
 // back there. Each direction is abandoned once the size exceeds
-// maxGrowth times the best size seen.
+// siftMaxGrowth times the best size seen.
 func (s *sifter) sift(v int) error {
 	m := s.m
 	n := m.nvars
 	best := s.size
 	bestL := int(m.var2level[v])
-	limit := func() int { return int(float64(best)*s.maxGrowth) + 2 }
+	limit := func() int { return int(float64(best)*siftMaxGrowth) + 2 }
 	note := func() {
 		if s.size < best {
 			best, bestL = s.size, int(m.var2level[v])

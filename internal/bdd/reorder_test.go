@@ -70,7 +70,7 @@ func TestReorderPreservesSemantics(t *testing.T) {
 	for name, nw := range propertyNetworks(t) {
 		nw := nw
 		t.Run(name, func(t *testing.T) {
-			nb, err := FromNetwork(nw)
+			nb, err := FromNetwork(context.Background(), nw, BuildOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +120,7 @@ func TestReorderPreservesSemantics(t *testing.T) {
 				}
 			}
 
-			st, err := nb.Reorder(ReorderOptions{})
+			st, err := nb.Reorder()
 			if err != nil {
 				t.Fatalf("Reorder: %v", err)
 			}
@@ -192,7 +192,7 @@ func TestReorderShrinksComparator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nb, err := FromNetwork(nw)
+	nb, err := FromNetwork(context.Background(), nw, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestReorderShrinksComparator(t *testing.T) {
 		out = nb.Fn[po]
 	}
 	before := nb.M.NodeCount(out)
-	st, err := nb.Reorder(ReorderOptions{})
+	st, err := nb.Reorder()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,11 +226,11 @@ func TestReorderDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nb, err := FromNetwork(nw)
+		nb, err := FromNetwork(context.Background(), nw, BuildOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := nb.Reorder(ReorderOptions{}); err != nil {
+		if _, err := nb.Reorder(); err != nil {
 			t.Fatal(err)
 		}
 		return nb.M, nb.M.Order()
@@ -263,13 +263,13 @@ func TestReorderBudgetAware(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nb, err := FromNetwork(nw)
+	nb, err := FromNetwork(context.Background(), nw, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := nb.M
 	m.SetBudget(Budget{MaxSteps: m.Steps() + 8})
-	_, rerr := nb.Reorder(ReorderOptions{})
+	_, rerr := nb.Reorder()
 	if rerr == nil || !errors.Is(rerr, ErrBudgetExceeded) {
 		t.Fatalf("budgeted Reorder returned %v, want ErrBudgetExceeded", rerr)
 	}
@@ -287,7 +287,7 @@ func TestRestrictBudgetTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nb, err := FromNetwork(nw)
+	nb, err := FromNetwork(context.Background(), nw, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestRestrictBudgetTrips(t *testing.T) {
 
 	// And the full quantification path: a fresh manager, a budget with
 	// room for the build but not for ExistsSet.
-	nb2, err := FromNetwork(nw)
+	nb2, err := FromNetwork(context.Background(), nw, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestRestrictUnhitBudgetBitIdentical(t *testing.T) {
 			ctx, cancel = context.WithCancel(ctx)
 			defer cancel()
 		}
-		nb, err := FromNetworkCtx(ctx, nw, b)
+		nb, err := FromNetwork(ctx, nw, BuildOptions{Budget: b})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -428,7 +428,7 @@ func TestPoisonedManagerEarlyOuts(t *testing.T) {
 	if got := m.SatCount(f); got != 0 {
 		t.Fatalf("poisoned SatCount = %v, want 0", got)
 	}
-	if _, err := m.Reorder([]Ref{f}, ReorderOptions{}); err == nil {
+	if _, err := m.Reorder([]Ref{f}); err == nil {
 		t.Fatal("poisoned Reorder did not return the sticky error")
 	}
 	if len(m.nodes) != nodesBefore {

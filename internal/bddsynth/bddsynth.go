@@ -117,9 +117,9 @@ type emitStats struct {
 // place: fresh gates are emitted bottom-up, each primary-output driver
 // is redirected to its MUX root, and the displaced logic is swept.
 func emitMux(ctx context.Context, nw *logic.Network, opt Options) (*emitStats, error) {
-	nb, err := bdd.FromNetworkOpts(ctx, nw, bdd.BuildOptions{
+	nb, err := bdd.FromNetwork(ctx, nw, bdd.BuildOptions{
 		Budget:  opt.Budget,
-		Reorder: bdd.ReorderPolicy{Enable: !opt.NoReorder},
+		Reorder: !opt.NoReorder,
 	})
 	if err != nil {
 		return nil, err

@@ -14,7 +14,7 @@ import (
 )
 
 // TestConcurrentEngineReuse hammers the three engine entry points a
-// server reuses across requests — power.EstimateSimulatedParallel,
+// server reuses across requests — power.EstimateSimulatedParallelCtx,
 // power.EstimateExactCtx and RunFlowCtx — from many goroutines over
 // SHARED network values, interleaving budget-degraded estimates with
 // clean ones. Run under -race this is the concurrent-engine-reuse gate:
@@ -61,7 +61,7 @@ func TestConcurrentEngineReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		simRep, _, err := power.EstimateSimulatedParallel(nw, p, nil, sim.UnitDelay, vectors[name], 0)
+		simRep, _, err := power.EstimateSimulatedParallelCtx(context.Background(), nw, p, nil, sim.UnitDelay, vectors[name], 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestConcurrentEngineReuse(t *testing.T) {
 						t.Errorf("g%d %s: exact %v != sequential %v", g, name, clean.Total(), want.exactTotal)
 					}
 
-					simRep, _, err := power.EstimateSimulatedParallel(nw, p, nil, sim.UnitDelay, vectors[name], 0)
+					simRep, _, err := power.EstimateSimulatedParallelCtx(context.Background(), nw, p, nil, sim.UnitDelay, vectors[name], 0)
 					if err != nil {
 						t.Errorf("g%d %s: simulated estimate: %v", g, name, err)
 						return

@@ -61,11 +61,6 @@ type Context struct {
 	// honest baseline incremental runs are benchmarked against. Only
 	// meaningful with Incremental set.
 	FullRecompute bool
-	// IncrMaxConeFrac forwards power.IncrementalEstimator.MaxConeFrac:
-	// dirty cones covering more than this fraction of the live
-	// combinational nodes take the full-recompute path instead (0 = no
-	// bound).
-	IncrMaxConeFrac float64
 	// DirtyAudit re-fingerprints the network around every pass and fails
 	// the flow if a pass changed nodes it did not record in the dirty set
 	// (logic.DirtyAudit) — the debug check that catches mutation-API
@@ -113,22 +108,11 @@ func (s Snapshot) String() string {
 		s.Label, s.Gates, s.Depth, s.FlipFlops, s.ExactP, mark, s.SimP, 100*s.Spurious)
 }
 
-// Measure evaluates a network under the context.
-func Measure(nw *logic.Network, fctx *Context, label string) (Snapshot, error) {
-	return MeasureCtx(context.Background(), nw, fctx, label)
-}
-
-// MeasureCtx is Measure with a cancellation boundary. The exact power
-// estimate runs under fctx.ExactBudget and degrades to Monte Carlo when
-// the budget trips; cancellation of ctx aborts the measurement with the
-// context's error.
-func MeasureCtx(ctx context.Context, nw *logic.Network, fctx *Context, label string) (Snapshot, error) {
-	if fctx.Incremental && len(nw.FFs()) == 0 {
-		// Standalone incremental-mode measurement: a one-shot estimator
-		// (no baseline to reuse, but the same engines and therefore the
-		// same snapshot semantics as flow-internal measurements).
-		return measureIncremental(ctx, nw, fctx, label, newFlowEstimator(nw, fctx))
-	}
+// measure evaluates a network under the context with the classic
+// engines. The exact power estimate runs under fctx.ExactBudget and
+// degrades to Monte Carlo when the budget trips; cancellation of ctx
+// aborts the measurement with the context's error.
+func measure(ctx context.Context, nw *logic.Network, fctx *Context, label string) (Snapshot, error) {
 	ctx, sp := trace.Start(ctx, "core.measure")
 	if sp != nil {
 		sp.SetAttr("label", label)
@@ -158,14 +142,6 @@ func MeasureCtx(ctx context.Context, nw *logic.Network, fctx *Context, label str
 	snap.SimP = rep.Total()
 	snap.Spurious = tot.SpuriousFraction()
 	return snap, nil
-}
-
-// newFlowEstimator builds the incremental estimator for a combinational
-// network under a context's evaluation environment.
-func newFlowEstimator(nw *logic.Network, fctx *Context) *power.IncrementalEstimator {
-	est := power.NewIncrementalEstimator(nw, fctx.Params, fctx.CapModel, fctx.InputProb, fctx.Vectors)
-	est.MaxConeFrac = fctx.IncrMaxConeFrac
-	return est
 }
 
 // measureIncremental produces a Snapshot from the incremental engines:
@@ -413,18 +389,13 @@ func verifyPass(ctx context.Context, golden, nw *logic.Network, pass, method str
 	return nil
 }
 
-// RunFlow applies the flow's passes to the network in place, measuring
+// RunFlowCtx applies the flow's passes to the network in place, measuring
 // after each pass and verifying equivalence when the context asks for it.
-func RunFlow(nw *logic.Network, flow Flow, fctx *Context) (*FlowReport, error) {
-	return RunFlowCtx(context.Background(), nw, flow, fctx)
-}
-
-// RunFlowCtx is RunFlow with a cancellation boundary: ctx is polled
-// before each pass and each measurement, so a deadline or cancel stops
-// the flow at the next pass boundary. On cancellation the partial
-// FlowReport accumulated so far is returned ALONGSIDE the error — the
-// steps already measured stay valid even though the flow did not finish.
-// All other errors return a nil report, as before.
+// ctx is polled before each pass and each measurement, so a deadline or
+// cancel stops the flow at the next pass boundary. On cancellation the
+// partial FlowReport accumulated so far is returned ALONGSIDE the error —
+// the steps already measured stay valid even though the flow did not
+// finish. All other errors return a nil report.
 func RunFlowCtx(ctx context.Context, nw *logic.Network, flow Flow, fctx *Context) (*FlowReport, error) {
 	reg := Registry()
 	for name, p := range fctx.ExtraPasses {
@@ -435,13 +406,13 @@ func RunFlowCtx(ctx context.Context, nw *logic.Network, flow Flow, fctx *Context
 	// re-derives only the dirty cone the pass touched.
 	var est *power.IncrementalEstimator
 	if fctx.Incremental && len(nw.FFs()) == 0 {
-		est = newFlowEstimator(nw, fctx)
+		est = power.NewIncrementalEstimator(nw, fctx.Params, fctx.CapModel, fctx.InputProb, fctx.Vectors)
 	}
-	measure := func(label string) (Snapshot, error) {
+	snapshot := func(label string) (Snapshot, error) {
 		if est != nil {
 			return measureIncremental(ctx, nw, fctx, label, est)
 		}
-		return MeasureCtx(ctx, nw, fctx, label)
+		return measure(ctx, nw, fctx, label)
 	}
 	if fctx.DirtyAudit && est == nil {
 		// Without an estimator nothing consumes the dirty set, so the
@@ -451,7 +422,7 @@ func RunFlowCtx(ctx context.Context, nw *logic.Network, flow Flow, fctx *Context
 		nw.ClearDirty()
 	}
 	rep := &FlowReport{Flow: flow.Name}
-	snap, err := measure("initial")
+	snap, err := snapshot("initial")
 	if err != nil {
 		return nil, err
 	}
@@ -509,7 +480,7 @@ func RunFlowCtx(ctx context.Context, nw *logic.Network, flow Flow, fctx *Context
 			obs.Counter("flow.verify.skipped").Inc()
 		}
 		prev := rep.Steps[len(rep.Steps)-1]
-		snap, err := measure(name)
+		snap, err := snapshot(name)
 		if err != nil {
 			if ctx.Err() != nil {
 				return rep, fmt.Errorf("core: flow %q stopped measuring after pass %q: %w", flow.Name, name, err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -39,7 +40,7 @@ func TestRunFlowGlitchOnMultiplier(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := NewContext(nw, 7)
-	rep, err := RunFlow(nw, StandardFlows()["glitch"], ctx)
+	rep, err := RunFlowCtx(context.Background(), nw, StandardFlows()["glitch"], ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestRunFlowLowPowerPreservesFunction(t *testing.T) {
 	}
 	golden := nw.Clone()
 	ctx := NewContext(nw, 3)
-	if _, err := RunFlow(nw, StandardFlows()["lowpower"], ctx); err != nil {
+	if _, err := RunFlowCtx(context.Background(), nw, StandardFlows()["lowpower"], ctx); err != nil {
 		t.Fatal(err)
 	}
 	eq, err := logic.Equivalent(golden, nw)
@@ -87,7 +88,7 @@ func TestRunFlowLowPowerWinsOnGlitchyCircuit(t *testing.T) {
 	}
 	golden := nw.Clone()
 	ctx := NewContext(nw, 11)
-	rep, err := RunFlow(nw, StandardFlows()["lowpower"], ctx)
+	rep, err := RunFlowCtx(context.Background(), nw, StandardFlows()["lowpower"], ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestRunFlowLowPowerWinsOnGlitchyCircuit(t *testing.T) {
 func TestRunFlowUnknownPass(t *testing.T) {
 	nw, _ := circuits.ParityTree(4)
 	ctx := NewContext(nw, 1)
-	if _, err := RunFlow(nw, Flow{Name: "bad", Passes: []string{"nope"}}, ctx); err == nil {
+	if _, err := RunFlowCtx(context.Background(), nw, Flow{Name: "bad", Passes: []string{"nope"}}, ctx); err == nil {
 		t.Error("unknown pass should fail")
 	}
 }
@@ -115,7 +116,7 @@ func TestRunFlowUnknownPass(t *testing.T) {
 func TestMeasureSequential(t *testing.T) {
 	nw := seqToggle(t)
 	ctx := NewContext(nw, 5)
-	snap, err := Measure(nw, ctx, "seq")
+	snap, err := measure(context.Background(), nw, ctx, "seq")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,14 +134,14 @@ func TestFlowsOnBLIFCorpus(t *testing.T) {
 		for flowName, flow := range StandardFlows() {
 			work := nw.Clone()
 			ctx := NewContext(work, 5)
-			rep, err := RunFlow(work, flow, ctx)
+			rep, err := RunFlowCtx(context.Background(), work, flow, ctx)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, flowName, err)
 			}
 			if err := work.Check(); err != nil {
 				t.Fatalf("%s/%s: %v", name, flowName, err)
 			}
-			// Combinational corpus circuits: verify function (RunFlow
+			// Combinational corpus circuits: verify function (RunFlowCtx
 			// already does for <=20 PIs and no FFs, but double-check).
 			if len(work.FFs()) == 0 && len(nw.FFs()) == 0 {
 				eq, err := logic.Equivalent(nw, work)

@@ -58,23 +58,23 @@ func TestRunFlowCtxBudgetDegradesNotFails(t *testing.T) {
 	}
 }
 
-// TestMeasureCtxMatchesMeasure: the ctx-aware measurement with a zero
-// budget is bit-identical to the legacy path.
+// TestMeasureCtxMatchesMeasure: a flow's initial step is exactly the
+// standalone measurement of the unmodified network.
 func TestMeasureCtxMatchesMeasure(t *testing.T) {
 	nw, err := circuits.CLAAdder(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fctx := NewContext(nw, 3)
-	a, err := Measure(nw, fctx, "x")
+	a, err := measure(context.Background(), nw, fctx, "initial")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MeasureCtx(context.Background(), nw, fctx, "x")
+	rep, err := RunFlowCtx(context.Background(), nw, Flow{Name: "none"}, fctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
+	if b := rep.Steps[0]; a != b {
 		t.Fatalf("snapshots differ:\n%v\n%v", a, b)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -90,7 +91,7 @@ func TestFlowIncrementalBitIdentical(t *testing.T) {
 			ctxA := NewContext(nwA, 42)
 			ctxA.Incremental = true
 			ctxA.DirtyAudit = true
-			repA, err := RunFlow(nwA, flow, ctxA)
+			repA, err := RunFlowCtx(context.Background(), nwA, flow, ctxA)
 			if err != nil {
 				t.Fatalf("%s/%s incremental: %v", gname, fname, err)
 			}
@@ -98,7 +99,7 @@ func TestFlowIncrementalBitIdentical(t *testing.T) {
 			ctxB := NewContext(nwB, 42)
 			ctxB.Incremental = true
 			ctxB.FullRecompute = true
-			repB, err := RunFlow(nwB, flow, ctxB)
+			repB, err := RunFlowCtx(context.Background(), nwB, flow, ctxB)
 			if err != nil {
 				t.Fatalf("%s/%s full: %v", gname, fname, err)
 			}
@@ -115,14 +116,14 @@ func TestFlowIncrementalBitIdentical(t *testing.T) {
 		ctxA, flow := rewriteFlow(nwA, int64(len(gname)), 8)
 		ctxA.Incremental = true
 		ctxA.DirtyAudit = true
-		repA, err := RunFlow(nwA, flow, ctxA)
+		repA, err := RunFlowCtx(context.Background(), nwA, flow, ctxA)
 		if err != nil {
 			t.Fatalf("%s/rewrite incremental: %v", gname, err)
 		}
 		ctxB, flowB := rewriteFlow(nwB, int64(len(gname)), 8)
 		ctxB.Incremental = true
 		ctxB.FullRecompute = true
-		repB, err := RunFlow(nwB, flowB, ctxB)
+		repB, err := RunFlowCtx(context.Background(), nwB, flowB, ctxB)
 		if err != nil {
 			t.Fatalf("%s/rewrite full: %v", gname, err)
 		}
@@ -168,7 +169,7 @@ func TestRegistryPassesPassDirtyAudit(t *testing.T) {
 		}
 		fctx := NewContext(nw, 7)
 		fctx.DirtyAudit = true
-		if _, err := RunFlow(nw, Flow{Name: "audit-" + name, Passes: []string{name}}, fctx); err != nil {
+		if _, err := RunFlowCtx(context.Background(), nw, Flow{Name: "audit-" + name, Passes: []string{name}}, fctx); err != nil {
 			t.Errorf("pass %q failed under dirty audit: %v", name, err)
 		}
 	}
@@ -195,7 +196,7 @@ func TestDirtyAuditCatchesBypass(t *testing.T) {
 			},
 		},
 	}
-	if _, err := RunFlow(nw, Flow{Name: "bypass", Passes: []string{"bypass"}}, fctx); err == nil {
+	if _, err := RunFlowCtx(context.Background(), nw, Flow{Name: "bypass", Passes: []string{"bypass"}}, fctx); err == nil {
 		t.Fatal("dirty audit missed a direct Node field write")
 	}
 }
@@ -213,17 +214,17 @@ func TestMeasureIncrementalSequentialFallback(t *testing.T) {
 	if err := nw.MarkOutput(q); err != nil {
 		t.Fatal(err)
 	}
-	classic := NewContext(nw, 3)
-	sc, err := Measure(nw, classic, "x")
-	if err != nil {
-		t.Fatal(err)
+	initial := func(fctx *Context) Snapshot {
+		rep, err := RunFlowCtx(context.Background(), nw, Flow{Name: "none"}, fctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Steps[0]
 	}
+	sc := initial(NewContext(nw, 3))
 	incr := NewContext(nw, 3)
 	incr.Incremental = true
-	si, err := Measure(nw, incr, "x")
-	if err != nil {
-		t.Fatal(err)
-	}
+	si := initial(incr)
 	if sc != si {
 		t.Fatalf("sequential fallback diverged: classic %+v, incremental-flagged %+v", sc, si)
 	}

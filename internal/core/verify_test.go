@@ -52,7 +52,7 @@ func TestVerifyCatchesBrokenPassAt17Inputs(t *testing.T) {
 	}
 	fctx := NewContext(nw, 1)
 	fctx.ExtraPasses = map[string]Pass{"break": breakPass}
-	_, err = RunFlow(nw, Flow{Name: "broken", Passes: []string{"strash", "break"}}, fctx)
+	_, err = RunFlowCtx(context.Background(), nw, Flow{Name: "broken", Passes: []string{"strash", "break"}}, fctx)
 	if err == nil || !strings.Contains(err.Error(), `pass "break" changed the circuit function`) {
 		t.Fatalf("flow with a function-changing pass: err = %v", err)
 	}

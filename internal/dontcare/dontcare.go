@@ -13,6 +13,7 @@
 package dontcare
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/bdd"
@@ -41,7 +42,7 @@ type analyzer struct {
 }
 
 func newAnalyzer(nw *logic.Network) (*analyzer, error) {
-	nb, err := bdd.FromNetwork(nw)
+	nb, err := bdd.FromNetwork(context.Background(), nw, bdd.BuildOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package dontcare
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -169,7 +170,7 @@ func optimizeNode(nw *logic.Network, id logic.NodeID, opts Options, base *baseli
 	case NetworkPower:
 		// Evaluate each candidate by full-network exact power.
 		if !base.ok {
-			rep, err := power.EstimateExact(nw, opts.Params, nil, opts.InputProb)
+			rep, err := power.EstimateExactCtx(context.Background(), nw, opts.Params, nil, opts.InputProb, power.ExactOptions{})
 			if err != nil {
 				return false, err
 			}
@@ -183,7 +184,7 @@ func optimizeNode(nw *logic.Network, id logic.NodeID, opts Options, base *baseli
 				return false, err
 			}
 			trial.SweepDead()
-			rep, err := power.EstimateExact(trial, opts.Params, nil, opts.InputProb)
+			rep, err := power.EstimateExactCtx(context.Background(), trial, opts.Params, nil, opts.InputProb, power.ExactOptions{})
 			if err != nil {
 				return false, err
 			}

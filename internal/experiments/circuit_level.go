@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
+	"repro/internal/bdd"
 	"repro/internal/circuits"
 	"repro/internal/power"
 	"repro/internal/sim"
@@ -29,7 +31,7 @@ func E1PowerBreakdown() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := power.EstimateExact(nw, p, nil, nil)
+		rep, err := power.EstimateExactCtx(context.Background(), nw, p, nil, nil, power.ExactOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -94,7 +96,7 @@ func E3Sizing() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	probs, err := power.ExactProbabilities(nw, nil)
+	probs, err := power.ExactProbabilities(context.Background(), nw, nil, bdd.Budget{})
 	if err != nil {
 		return nil, err
 	}
@@ -137,11 +139,11 @@ func E5PathBalance() (*Table, error) {
 		p := power.DefaultParams()
 		minCap := power.BufferWeightedCap(0.25)
 		fullCap := power.BufferWeightedCap(1.0)
-		repB, totB, err := power.EstimateSimulated(nw, p, minCap, sim.UnitDelay, vecs)
+		repB, totB, err := power.EstimateSimulatedParallelCtx(context.Background(), nw, p, minCap, sim.UnitDelay, vecs, 0)
 		if err != nil {
 			return nil, err
 		}
-		repBFull, _, err := power.EstimateSimulated(nw, p, fullCap, sim.UnitDelay, vecs)
+		repBFull, _, err := power.EstimateSimulatedParallelCtx(context.Background(), nw, p, fullCap, sim.UnitDelay, vecs, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -153,11 +155,11 @@ func E5PathBalance() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		repA, _, err := power.EstimateSimulated(bal, p, minCap, sim.UnitDelay, vecs)
+		repA, _, err := power.EstimateSimulatedParallelCtx(context.Background(), bal, p, minCap, sim.UnitDelay, vecs, 0)
 		if err != nil {
 			return nil, err
 		}
-		repAFull, _, err := power.EstimateSimulated(bal, p, fullCap, sim.UnitDelay, vecs)
+		repAFull, _, err := power.EstimateSimulatedParallelCtx(context.Background(), bal, p, fullCap, sim.UnitDelay, vecs, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"repro/internal/bdd"
 	"repro/internal/dontcare"
 	"repro/internal/logic"
 	"repro/internal/power"
@@ -34,7 +36,7 @@ func E4DontCare() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		before, err := power.EstimateExact(base, p, nil, nil)
+		before, err := power.EstimateExactCtx(context.Background(), base, p, nil, nil, power.ExactOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -49,7 +51,7 @@ func E4DontCare() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			after, err := power.EstimateExact(nw, p, nil, nil)
+			after, err := power.EstimateExactCtx(context.Background(), nw, p, nil, nil, power.ExactOptions{})
 			if err != nil {
 				return nil, err
 			}
@@ -225,7 +227,7 @@ func ProbabilityAblation() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		exact, err := power.ExactProbabilities(nw, nil)
+		exact, err := power.ExactProbabilities(context.Background(), nw, nil, bdd.Budget{})
 		if err != nil {
 			return nil, err
 		}

@@ -22,7 +22,7 @@ func TestRunAllCtxRecoversPanics(t *testing.T) {
 		{ID: "BOOM", Run: func() (*Table, error) { panic("table exploded") }},
 		{ID: "OK2", Run: func() (*Table, error) { return fakeTable("OK2"), nil }},
 	}
-	res := RunAllCtx(context.Background(), list, 3, 0)
+	res := RunAll(context.Background(), list, 3, 0)
 	if len(res) != 3 {
 		t.Fatalf("got %d results, want 3", len(res))
 	}
@@ -46,7 +46,7 @@ func TestRunAllCtxPreCancelledSkipsAll(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res := RunAllCtx(ctx, list, 2, 0)
+	res := RunAll(ctx, list, 2, 0)
 	if len(res) != 2 {
 		t.Fatalf("got %d results, want 2 (shape must survive cancellation)", len(res))
 	}
@@ -74,7 +74,7 @@ func TestRunAllCtxInFlightFinishes(t *testing.T) {
 			return fakeTable("MID"), nil
 		}},
 	}
-	res := RunAllCtx(ctx, list, 1, 0)
+	res := RunAll(ctx, list, 1, 0)
 	if res[0].Err != nil || res[0].Table == nil || res[0].Skipped {
 		t.Fatalf("in-flight experiment must finish: %+v", res[0])
 	}
@@ -87,7 +87,7 @@ func TestRunAllCtxPerTimeoutFlags(t *testing.T) {
 			return fakeTable("SLEEPY"), nil
 		}},
 	}
-	res := RunAllCtx(context.Background(), list, 1, time.Millisecond)
+	res := RunAll(context.Background(), list, 1, time.Millisecond)
 	if !errors.Is(res[0].Err, context.DeadlineExceeded) {
 		t.Fatalf("over-budget experiment err = %v, want DeadlineExceeded", res[0].Err)
 	}

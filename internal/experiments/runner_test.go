@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 )
 
@@ -12,8 +13,8 @@ func TestRunAllParallelIdenticalTables(t *testing.T) {
 		t.Skip("regenerates every experiment table twice")
 	}
 	list := All()
-	seq := RunAll(list, 1)
-	par := RunAll(list, 4)
+	seq := RunAll(context.Background(), list, 1, 0)
+	par := RunAll(context.Background(), list, 4, 0)
 	if len(seq) != len(par) {
 		t.Fatalf("result counts differ: %d vs %d", len(seq), len(par))
 	}
@@ -39,7 +40,7 @@ func TestRunAllParallelIdenticalTables(t *testing.T) {
 func TestRunAllClampsWorkers(t *testing.T) {
 	list := All()[:1]
 	for _, par := range []int{-1, 0, 1, 100} {
-		res := RunAll(list, par)
+		res := RunAll(context.Background(), list, par, 0)
 		if len(res) != 1 || res[0].ID != list[0].ID {
 			t.Fatalf("parallel=%d: unexpected results %+v", par, res)
 		}

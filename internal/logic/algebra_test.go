@@ -1,6 +1,7 @@
 package logic_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -109,7 +110,7 @@ func TestCarriersAgree(t *testing.T) {
 			}
 		}
 
-		nb, err := bdd.FromNetwork(nw)
+		nb, err := bdd.FromNetwork(context.Background(), nw, bdd.BuildOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -42,26 +42,28 @@ func (o ExactOptions) seed() int64 {
 	return o.MCSeed
 }
 
-// ExactProbabilitiesCtx is ExactProbabilities under a context and a BDD
-// resource budget. On budget exhaustion or cancellation it returns a
-// *bdd.BudgetError (matching bdd.ErrBudgetExceeded); with a zero budget
-// and a background context it computes exactly what ExactProbabilities
-// does.
+// ExactProbabilities computes exact signal probabilities for every node
+// via global BDDs, under a context and a BDD resource budget. inputProb
+// maps circuit source nodes (PIs and FF outputs) to their 1-probability;
+// missing entries default to 0.5. Reconvergent fanout is handled exactly —
+// this is the reference against which the propagation approximation is
+// measured. On budget exhaustion or cancellation it returns a
+// *bdd.BudgetError (matching bdd.ErrBudgetExceeded).
 //
 // When the fixed declaration order blows the budget, it retries once
 // with dynamic sifting reordering (the exact -> reorder -> retry rung of
 // the degradation ladder) before the caller falls back to Monte Carlo;
 // successful retries increment the power.exact.reordered counter. A
 // cancelled context is never retried — the caller asked to stop.
-func ExactProbabilitiesCtx(ctx context.Context, nw *logic.Network, inputProb Probabilities, b bdd.Budget) (Probabilities, error) {
-	nb, err := bdd.FromNetworkCtx(ctx, nw, b)
+func ExactProbabilities(ctx context.Context, nw *logic.Network, inputProb Probabilities, b bdd.Budget) (Probabilities, error) {
+	nb, err := bdd.FromNetwork(ctx, nw, bdd.BuildOptions{Budget: b})
 	if err != nil {
 		if !errors.Is(err, bdd.ErrBudgetExceeded) || ctx.Err() != nil {
 			return nil, err
 		}
-		nb, err = bdd.FromNetworkOpts(ctx, nw, bdd.BuildOptions{
+		nb, err = bdd.FromNetwork(ctx, nw, bdd.BuildOptions{
 			Budget:  b,
-			Reorder: bdd.ReorderPolicy{Enable: true},
+			Reorder: true,
 		})
 		if err != nil {
 			return nil, err
@@ -88,13 +90,13 @@ func ExactProbabilitiesCtx(ctx context.Context, nw *logic.Network, inputProb Pro
 // activity, under a context deadline and a BDD resource budget. When the
 // exact computation exceeds the budget — the exponential-size blowup risk
 // inherent to BDDs — it first retries with dynamic variable reordering
-// (via ExactProbabilitiesCtx); only if the sifted order still cannot fit
+// (via ExactProbabilities); only if the sifted order still cannot fit
 // the budget does it fail over. Even then it does not fail: it degrades to the
 // bit-parallel packed Monte Carlo estimator over opt.MCVectors vectors
 // drawn with each input's declared 1-probability, marks the report with
 // Degraded=true and the budget error as DegradeReason, and increments the
-// power.exact.degraded counter. Reports whose budget was never hit are
-// bit-identical to EstimateExact.
+// power.exact.degraded counter. A zero ExactOptions sets no budget, so
+// the report is always exact.
 //
 // Cancellation of ctx itself (an expired deadline or an explicit cancel)
 // is not degraded: it aborts with the context's error, because the caller
@@ -104,7 +106,7 @@ func ExactProbabilitiesCtx(ctx context.Context, nw *logic.Network, inputProb Pro
 func EstimateExactCtx(ctx context.Context, nw *logic.Network, p Params, cm CapModel, inputProb Probabilities, opt ExactOptions) (Report, error) {
 	ctx, sp := trace.Start(ctx, "power.exact")
 	defer sp.End()
-	ps, err := ExactProbabilitiesCtx(ctx, nw, inputProb, opt.Budget)
+	ps, err := ExactProbabilities(ctx, nw, inputProb, opt.Budget)
 	if err == nil {
 		sp.SetAttr("degraded", false)
 		return Evaluate(nw, p, cm, ps.Activity), nil
@@ -149,14 +151,7 @@ func monteCarloEstimate(ctx context.Context, nw *logic.Network, p Params, cm Cap
 	if err != nil {
 		return Report{}, err
 	}
-	piAct := piActivity(nw, vecs)
-	rep := Evaluate(nw, p, cm, func(id logic.NodeID) float64 {
-		if a, ok := piAct[id]; ok {
-			return a
-		}
-		return act[id]
-	})
-	return rep, nil
+	return evaluateMeasured(nw, p, cm, vecs, func(id logic.NodeID) float64 { return act[id] }), nil
 }
 
 // biasedVectors draws n vectors where PI i is 1 with its declared
@@ -171,7 +166,7 @@ func biasedVectors(nw *logic.Network, inputProb Probabilities, n int, seed int64
 			probs[i] = 0.5
 		}
 	}
-	r := rand.New(rand.NewSource(ShardSeed(seed, 0)))
+	r := rand.New(rand.NewSource(shardSeed(seed, 0)))
 	vecs := make([][]bool, n)
 	for c := range vecs {
 		v := make([]bool, len(pis))
@@ -181,6 +176,16 @@ func biasedVectors(nw *logic.Network, inputProb Probabilities, n int, seed int64
 		vecs[c] = v
 	}
 	return vecs
+}
+
+// shardSeed derives the PRNG seed of shard i from a caller seed with a
+// splitmix64 step, so shard streams are decorrelated but fully determined
+// by (seed, i).
+func shardSeed(seed int64, i int) int64 {
+	z := uint64(seed) + uint64(i+1)*0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return int64(z ^ (z >> 31))
 }
 
 // sequentialZeroDelayActivity steps a sequential network through the

@@ -1,6 +1,7 @@
 package power
 
 import (
+	"context"
 	"repro/internal/bdd"
 	"repro/internal/logic"
 	"repro/internal/obsv"
@@ -21,7 +22,7 @@ import (
 // accounts for a net transitioning more than once per cycle — it is the
 // standard upper-level estimate of glitch-inclusive activity.
 func TransitionDensities(nw *logic.Network, inputDensity map[logic.NodeID]float64, inputProb Probabilities) (map[logic.NodeID]float64, error) {
-	nb, err := bdd.FromNetwork(nw)
+	nb, err := bdd.FromNetwork(context.Background(), nw, bdd.BuildOptions{})
 	if err != nil {
 		return nil, err
 	}

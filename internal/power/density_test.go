@@ -1,10 +1,12 @@
 package power
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/bdd"
 	"repro/internal/circuits"
 	"repro/internal/logic"
 	"repro/internal/sim"
@@ -65,7 +67,7 @@ func TestDensityUpperBoundsZeroDelayOnTrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probs, err := ExactProbabilities(nw, nil)
+	probs, err := ExactProbabilities(context.Background(), nw, nil, bdd.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +103,7 @@ func TestDensityTracksGlitchesOnChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probs, err := ExactProbabilities(nw, nil)
+	probs, err := ExactProbabilities(context.Background(), nw, nil, bdd.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +144,7 @@ func TestEstimateDensityReport(t *testing.T) {
 	for _, pi := range nw.PIs() {
 		inputDens[pi] = 0.5
 	}
-	exact, err := EstimateExact(nw, DefaultParams(), nil, nil)
+	exact, err := EstimateExactCtx(context.Background(), nw, DefaultParams(), nil, nil, ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,11 @@ package power_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
+	"repro/internal/bdd"
 	"repro/internal/circuits"
 	"repro/internal/logic"
 	"repro/internal/power"
@@ -53,7 +55,7 @@ func FuzzEstimatorsAgree(f *testing.F) {
 			return // e.g. a combinational cycle, rejected by every engine
 		}
 
-		exact, err := power.ExactProbabilities(nw, nil)
+		exact, err := power.ExactProbabilities(context.Background(), nw, nil, bdd.Budget{})
 		if err != nil {
 			t.Fatalf("exact: %v", err)
 		}

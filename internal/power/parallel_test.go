@@ -1,6 +1,7 @@
 package power
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -56,13 +57,13 @@ func TestEstimateSimulatedParallelByteIdentical(t *testing.T) {
 		vecs := sim.RandomVectors(r, 300, len(nw.PIs()), 0.5)
 		p := DefaultParams()
 
-		refRep, refTot, err := EstimateSimulatedParallel(nw, p, nil, sim.UnitDelay, vecs, 1)
+		refRep, refTot, err := EstimateSimulatedParallelCtx(context.Background(), nw, p, nil, sim.UnitDelay, vecs, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		refBytes := fmt.Sprintf("%+v %+v", refRep, refTot)
 		for _, workers := range []int{2, 8} {
-			rep, tot, err := EstimateSimulatedParallel(nw, p, nil, sim.UnitDelay, vecs, workers)
+			rep, tot, err := EstimateSimulatedParallelCtx(context.Background(), nw, p, nil, sim.UnitDelay, vecs, workers)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}
@@ -74,14 +75,14 @@ func TestEstimateSimulatedParallelByteIdentical(t *testing.T) {
 			}
 		}
 
-		// The default entry point (EstimateSimulated, workers=GOMAXPROCS)
-		// must agree too — this is what E5/E11/E13 call.
-		rep, tot, err := EstimateSimulated(nw, p, nil, sim.UnitDelay, vecs)
+		// The default worker count (0 = GOMAXPROCS) must agree too — this
+		// is what E5/E11/E13 call.
+		rep, tot, err := EstimateSimulatedParallelCtx(context.Background(), nw, p, nil, sim.UnitDelay, vecs, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if got := fmt.Sprintf("%+v %+v", rep, tot); got != refBytes {
-			t.Errorf("%s: EstimateSimulated differs from sequential EstimateSimulatedParallel", name)
+			t.Errorf("%s: workers=0 report differs from workers=1", name)
 		}
 	}
 }
@@ -138,65 +139,14 @@ func TestShardSeedDecorrelation(t *testing.T) {
 	seen := map[int64]bool{}
 	for seed := int64(0); seed < 4; seed++ {
 		for i := 0; i < 64; i++ {
-			s := ShardSeed(seed, i)
+			s := shardSeed(seed, i)
 			if seen[s] {
-				t.Fatalf("ShardSeed collision at seed=%d i=%d", seed, i)
+				t.Fatalf("shardSeed collision at seed=%d i=%d", seed, i)
 			}
 			seen[s] = true
-			if s2 := ShardSeed(seed, i); s2 != s {
-				t.Fatalf("ShardSeed not deterministic at seed=%d i=%d", seed, i)
+			if s2 := shardSeed(seed, i); s2 != s {
+				t.Fatalf("shardSeed not deterministic at seed=%d i=%d", seed, i)
 			}
 		}
-	}
-}
-
-// TestSequentialProbabilitiesShardedDeterminism: for a fixed (seed,
-// cycles, shards) the sharded estimator is exactly reproducible, shards=1
-// reproduces the single-stream estimator on ShardSeed(seed, 0), and the
-// estimate stays statistically sane as shards vary.
-func TestSequentialProbabilitiesShardedDeterminism(t *testing.T) {
-	nw := fsmNetwork(t)
-	const seed, cycles = 41, 400
-
-	for _, shards := range []int{1, 2, 8} {
-		a, err := SequentialProbabilitiesSharded(nw, seed, cycles, shards, 0.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := SequentialProbabilitiesSharded(nw, seed, cycles, shards, 0.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("shards=%d: repeated runs differ", shards)
-		}
-		for _, pi := range nw.PIs() {
-			if a[pi] != 0.5 {
-				t.Errorf("shards=%d: PI probability %v, want 0.5", shards, a[pi])
-			}
-		}
-		for _, f := range nw.FFs() {
-			if a[f] < 0 || a[f] > 1 {
-				t.Errorf("shards=%d: FF probability %v out of range", shards, a[f])
-			}
-		}
-	}
-
-	single, err := SequentialProbabilities(nw, rand.New(rand.NewSource(ShardSeed(seed, 0))), cycles, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded1, err := SequentialProbabilitiesSharded(nw, seed, cycles, 1, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(single, sharded1) {
-		t.Error("shards=1 does not reproduce SequentialProbabilities")
-	}
-
-	// Shard count above the cycle budget clamps instead of spawning empty
-	// streams.
-	if _, err := SequentialProbabilitiesSharded(nw, seed, 3, 100, 0.5); err != nil {
-		t.Errorf("over-sharded call failed: %v", err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 
-	"repro/internal/bdd"
 	"repro/internal/logic"
 	"repro/internal/obsv"
 	"repro/internal/sim"
@@ -20,15 +19,6 @@ type Probabilities map[logic.NodeID]float64
 func (ps Probabilities) Activity(id logic.NodeID) float64 {
 	p := ps[id]
 	return 2 * p * (1 - p)
-}
-
-// ExactProbabilities computes exact signal probabilities for every node
-// via global BDDs. inputProb maps circuit source nodes (PIs and FF
-// outputs) to their 1-probability; missing entries default to 0.5.
-// Reconvergent fanout is handled exactly — this is the reference against
-// which the propagation approximation is measured.
-func ExactProbabilities(nw *logic.Network, inputProb Probabilities) (Probabilities, error) {
-	return ExactProbabilitiesCtx(context.Background(), nw, inputProb, bdd.Budget{})
 }
 
 // PropagatedProbabilities computes approximate signal probabilities by
@@ -159,17 +149,6 @@ func SequentialProbabilities(nw *logic.Network, r *rand.Rand, cycles int, piProb
 	return out, nil
 }
 
-// EstimateExact produces an Eqn. 1 report from exact (BDD) zero-delay
-// activity. Sequential networks get FF probabilities from warm-up
-// simulation first when seqWarmup > 0.
-func EstimateExact(nw *logic.Network, p Params, cm CapModel, inputProb Probabilities) (Report, error) {
-	ps, err := ExactProbabilities(nw, inputProb)
-	if err != nil {
-		return Report{}, err
-	}
-	return Evaluate(nw, p, cm, ps.Activity), nil
-}
-
 // EstimatePropagated produces an Eqn. 1 report from propagated
 // (independence-assumption) zero-delay activity.
 func EstimatePropagated(nw *logic.Network, p Params, cm CapModel, inputProb Probabilities) (Report, error) {
@@ -180,40 +159,36 @@ func EstimatePropagated(nw *logic.Network, p Params, cm CapModel, inputProb Prob
 	return Evaluate(nw, p, cm, ps.Activity), nil
 }
 
-// EstimateSimulated produces an Eqn. 1 report from measured event-driven
-// activity over the supplied vectors, capturing glitch power that the
-// zero-delay estimators miss. It returns the report and the simulation
-// totals. The simulation is sharded across GOMAXPROCS workers; results
-// are bit-identical to a sequential run (see sim.MeasureRunCtx).
-func EstimateSimulated(nw *logic.Network, p Params, cm CapModel, dm sim.DelayModel, vectors [][]bool) (Report, sim.Totals, error) {
-	return EstimateSimulatedParallel(nw, p, cm, dm, vectors, 0)
-}
-
-// EstimateSimulatedParallel is EstimateSimulated with an explicit worker
-// count (0 = GOMAXPROCS, 1 = sequential). Any worker count produces the
-// same report bit for bit: the vector stream is chunked deterministically
-// and each shard warm-starts from the exact settled state at its boundary.
-func EstimateSimulatedParallel(nw *logic.Network, p Params, cm CapModel, dm sim.DelayModel, vectors [][]bool, workers int) (Report, sim.Totals, error) {
-	return EstimateSimulatedParallelCtx(context.Background(), nw, p, cm, dm, vectors, workers)
-}
-
-// EstimateSimulatedParallelCtx is EstimateSimulatedParallel under a
-// context: cancellation stops the run before it starts, and a trace
-// carried by ctx (internal/obsv/trace) gains the simulation span. The
-// report is bit-identical to the context-free variant.
+// EstimateSimulatedParallelCtx produces an Eqn. 1 report from measured
+// event-driven activity over the supplied vectors, capturing glitch power
+// that the zero-delay estimators miss. It returns the report and the
+// simulation totals. The simulation is sharded across workers (0 =
+// GOMAXPROCS, 1 = sequential); any worker count produces the same report
+// bit for bit, because the vector stream is chunked deterministically and
+// each shard warm-starts from the exact settled state at its boundary
+// (see sim.MeasureRunCtx). Cancellation of ctx stops the run before it
+// starts, and a trace carried by ctx (internal/obsv/trace) gains the
+// simulation span.
 func EstimateSimulatedParallelCtx(ctx context.Context, nw *logic.Network, p Params, cm CapModel, dm sim.DelayModel, vectors [][]bool, workers int) (Report, sim.Totals, error) {
 	m, err := sim.MeasureRunCtx(ctx, nw, dm, vectors, workers)
 	if err != nil {
 		return Report{}, sim.Totals{}, err
 	}
+	return evaluateMeasured(nw, p, cm, vectors, m.Activity), m.Totals, nil
+}
+
+// evaluateMeasured is Evaluate over activity measured by simulating
+// vectors: each primary input's activity comes from the vector stream
+// itself (the simulators do not charge source nets), every other node's
+// from act.
+func evaluateMeasured(nw *logic.Network, p Params, cm CapModel, vectors [][]bool, act func(logic.NodeID) float64) Report {
 	piAct := piActivity(nw, vectors)
-	rep := Evaluate(nw, p, cm, func(id logic.NodeID) float64 {
+	return Evaluate(nw, p, cm, func(id logic.NodeID) float64 {
 		if a, ok := piAct[id]; ok {
 			return a
 		}
-		return m.Activity(id)
+		return act(id)
 	})
-	return rep, m.Totals, nil
 }
 
 // piActivity measures each primary input's activity from the vector
@@ -249,7 +224,7 @@ func piActivity(nw *logic.Network, vectors [][]bool) map[logic.NodeID]float64 {
 // vectors per machine word. It is the fast path for Monte Carlo power
 // estimation on combinational networks when glitch power is not needed —
 // its per-node activity equals the useful (zero-delay) component of
-// EstimateSimulated over the same vectors.
+// EstimateSimulatedParallelCtx over the same vectors.
 func EstimateZeroDelayPacked(nw *logic.Network, p Params, cm CapModel, vectors [][]bool) (Report, sim.Totals, error) {
 	ps, err := sim.NewPacked(nw)
 	if err != nil {
@@ -259,25 +234,18 @@ func EstimateZeroDelayPacked(nw *logic.Network, p Params, cm CapModel, vectors [
 	if err != nil {
 		return Report{}, sim.Totals{}, err
 	}
-	piAct := piActivity(nw, vectors)
-	rep := Evaluate(nw, p, cm, func(id logic.NodeID) float64 {
-		if a, ok := piAct[id]; ok {
-			return a
-		}
-		return ps.Activity(id)
-	})
-	return rep, tot, nil
+	return evaluateMeasured(nw, p, cm, vectors, ps.Activity), tot, nil
 }
 
-// EstimateSimulatedWith is EstimateSimulated with a sim.Tracer attached to
-// the internal simulator for the duration of the run. The power-attribution
-// profiler (internal/obsv/profile) uses this to observe every transition —
-// including the glitch pulses — of exactly the run whose total the report
-// states, so per-node attribution sums to the reported power by
-// construction.
+// EstimateSimulatedWith is EstimateSimulatedParallelCtx with a sim.Tracer
+// attached to the internal simulator for the duration of the run. The
+// power-attribution profiler (internal/obsv/profile) uses this to observe
+// every transition — including the glitch pulses — of exactly the run
+// whose total the report states, so per-node attribution sums to the
+// reported power by construction.
 func EstimateSimulatedWith(nw *logic.Network, p Params, cm CapModel, dm sim.DelayModel, vectors [][]bool, tracer sim.Tracer) (Report, sim.Totals, error) {
 	if tracer == nil {
-		return EstimateSimulatedParallel(nw, p, cm, dm, vectors, 0)
+		return EstimateSimulatedParallelCtx(context.Background(), nw, p, cm, dm, vectors, 0)
 	}
 	// A tracer observes every transition in stream order, so the traced
 	// run stays on the single sequential simulator.
@@ -290,12 +258,5 @@ func EstimateSimulatedWith(nw *logic.Network, p Params, cm CapModel, dm sim.Dela
 	if err != nil {
 		return Report{}, sim.Totals{}, err
 	}
-	piAct := piActivity(nw, vectors)
-	rep := Evaluate(nw, p, cm, func(id logic.NodeID) float64 {
-		if a, ok := piAct[id]; ok {
-			return a
-		}
-		return s.Activity(id)
-	})
-	return rep, tot, nil
+	return evaluateMeasured(nw, p, cm, vectors, s.Activity), tot, nil
 }

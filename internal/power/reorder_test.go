@@ -22,7 +22,7 @@ func TestEstimateExactCtxReorderRetry(t *testing.T) {
 	}
 	b := bdd.Budget{MaxNodes: 20000}
 	// The premise: the fixed order cannot fit this budget.
-	if _, err := bdd.FromNetworkCtx(context.Background(), nw, b); err == nil || !errors.Is(err, bdd.ErrBudgetExceeded) {
+	if _, err := bdd.FromNetwork(context.Background(), nw, bdd.BuildOptions{Budget: b}); err == nil || !errors.Is(err, bdd.ErrBudgetExceeded) {
 		t.Fatalf("fixed-order cmp16 unexpectedly fit a %d-node budget (err=%v)", b.MaxNodes, err)
 	}
 
@@ -48,7 +48,7 @@ func TestEstimateExactCtxReorderRetry(t *testing.T) {
 
 	// The retried result is exact: it matches the unbudgeted estimator
 	// up to floating-point reassociation from the permuted order.
-	exact, err := EstimateExact(nw, p, nil, nil)
+	exact, err := EstimateExactCtx(context.Background(), nw, p, nil, nil, ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,15 +74,15 @@ func TestExactProbabilitiesCtxReorderRetryValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := ExactProbabilities(nw, nil)
+	plain, err := ExactProbabilities(context.Background(), nw, nil, bdd.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	budget := bdd.Budget{MaxNodes: 2000}
-	if _, err := bdd.FromNetworkCtx(context.Background(), nw, budget); !errors.Is(err, bdd.ErrBudgetExceeded) {
+	if _, err := bdd.FromNetwork(context.Background(), nw, bdd.BuildOptions{Budget: budget}); !errors.Is(err, bdd.ErrBudgetExceeded) {
 		t.Fatalf("cmp12 unexpectedly fit %d nodes (err=%v)", budget.MaxNodes, err)
 	}
-	retried, err := ExactProbabilitiesCtx(context.Background(), nw, nil, budget)
+	retried, err := ExactProbabilities(context.Background(), nw, nil, budget)
 	if err != nil {
 		t.Fatalf("reorder-retry failed: %v", err)
 	}
@@ -105,7 +105,7 @@ func TestExactProbabilitiesCtxNoRetryOnCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = ExactProbabilitiesCtx(ctx, nw, nil, bdd.Budget{MaxNodes: 20000})
+	_, err = ExactProbabilities(ctx, nw, nil, bdd.Budget{MaxNodes: 20000})
 	if err == nil {
 		t.Fatal("cancelled context did not error")
 	}

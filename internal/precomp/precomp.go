@@ -13,6 +13,7 @@
 package precomp
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -303,7 +304,7 @@ func SelectInputs(nw *logic.Network, k int) ([]logic.NodeID, float64, error) {
 	if k < 1 || k >= len(pis) {
 		return nil, 0, fmt.Errorf("precomp: subset size %d of %d inputs", k, len(pis))
 	}
-	nb, err := bdd.FromNetwork(nw)
+	nb, err := bdd.FromNetwork(context.Background(), nw, bdd.BuildOptions{})
 	if err != nil {
 		return nil, 0, err
 	}

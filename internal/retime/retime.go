@@ -9,6 +9,7 @@
 package retime
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -497,7 +498,7 @@ func LowPower(nw *logic.Network, targetPeriod float64, vectors [][]bool, p power
 		if err != nil {
 			return PowerResult{}, err
 		}
-		rep, tot, err := power.EstimateSimulated(net, p, nil, sim.UnitDelay, vectors)
+		rep, tot, err := power.EstimateSimulatedParallelCtx(context.Background(), net, p, nil, sim.UnitDelay, vectors, 0)
 		if err != nil {
 			return PowerResult{}, err
 		}

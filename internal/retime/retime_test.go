@@ -1,6 +1,7 @@
 package retime
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -268,7 +269,7 @@ func TestLowPowerRetiming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, _, err := power.EstimateSimulated(identNet, p, nil, sim.UnitDelay, vecs)
+	rep, _, err := power.EstimateSimulatedParallelCtx(context.Background(), identNet, p, nil, sim.UnitDelay, vecs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@
 // requests; estimation never mutates a network. Flows DO mutate, so
 // handleFlow clones the cached network first — a request must never be
 // able to poison the cache for later ones. For the same reason the server
-// caches no BDD managers at all: bdd.FromNetworkCtx builds a fresh
+// caches no BDD managers at all: bdd.FromNetwork builds a fresh
 // manager per estimate, so a budget trip in one request cannot leave a
 // sticky error behind for the next.
 //
@@ -420,18 +420,27 @@ func (s *Server) acquire(ctx context.Context, ep string) error {
 	return err
 }
 
+// acquireSlot takes a free slot without looking at ctx, so an idle pool
+// always admits: select picks among ready cases at random, and an expired
+// deadline would otherwise turn away about half the requests to an empty
+// pool. An admitted request past its deadline fails with 504 at the
+// flow's first context poll. Only a full pool waits, and gives up with 503.
 func (s *Server) acquireSlot(ctx context.Context) error {
 	select {
 	case s.sem <- struct{}{}:
-		s.inflight.Set(float64(s.inflightN.Add(1)))
-		return nil
-	case <-ctx.Done():
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			return &apiError{status: http.StatusServiceUnavailable,
-				msg: "server busy: deadline expired while queued for a worker"}
+	default:
+		select {
+		case s.sem <- struct{}{}:
+		case <-ctx.Done():
+			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+				return &apiError{status: http.StatusServiceUnavailable,
+					msg: "server busy: deadline expired while queued for a worker"}
+			}
+			return ctx.Err()
 		}
-		return ctx.Err()
 	}
+	s.inflight.Set(float64(s.inflightN.Add(1)))
+	return nil
 }
 
 func (s *Server) release() {
@@ -1016,7 +1025,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		if csp != nil {
 			csp.SetAttr("id", id)
 		}
-		res := experiments.RunAllCtx(cctx, []experiments.Experiment{*ex}, 1, 0)
+		res := experiments.RunAll(cctx, []experiments.Experiment{*ex}, 1, 0)
 		csp.End()
 		if res[0].Skipped || res[0].Err != nil {
 			return cachedResult{}, res[0].Err

@@ -442,6 +442,21 @@ func TestAcquireReturns503WhenPoolFullPastDeadline(t *testing.T) {
 	}
 }
 
+// TestAcquireAdmitsOnIdlePoolPastDeadline: a free worker slot is always
+// taken, even when the request's deadline has already passed; the 503
+// "busy" answer is only for a full pool.
+func TestAcquireAdmitsOnIdlePoolPastDeadline(t *testing.T) {
+	s := New(Config{Workers: 4})
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	for i := 0; i < 500; i++ {
+		if err := s.acquire(ctx, "estimate"); err != nil {
+			t.Fatalf("try %d: acquire on an idle pool = %v, want admission", i, err)
+		}
+		s.release()
+	}
+}
+
 func TestSelfCheckSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays a mixed workload three times")
