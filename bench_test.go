@@ -752,3 +752,29 @@ func BenchmarkExactReorderRetry(b *testing.B) {
 	}
 	b.ReportMetric(float64(degraded), "degraded")
 }
+
+// BenchmarkExactLadder times the whole estimation ladder on a circuit
+// neither order fits: mult7 at a 20000-node budget trips the fixed
+// order, rebuilds under sifting, trips again and falls back to Monte
+// Carlo. This is the slowest request class of the cold estimate path.
+// The degraded metric must stay 1 per op.
+func BenchmarkExactLadder(b *testing.B) {
+	nw, err := circuits.ArrayMultiplier(7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := power.DefaultParams()
+	opt := power.ExactOptions{Budget: bdd.Budget{MaxNodes: 20000}}
+	degraded := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := power.EstimateExactCtx(context.Background(), nw, p, nil, nil, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.Degraded {
+			degraded++
+		}
+	}
+	b.ReportMetric(float64(degraded)/float64(b.N), "degraded")
+}

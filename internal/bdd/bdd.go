@@ -1,5 +1,6 @@
 // Package bdd implements reduced ordered binary decision diagrams (ROBDDs)
-// with a shared unique table and an ITE computed cache.
+// over a flat node arena, with one chained unique subtable per level and a
+// lossless open-addressing ITE memo.
 //
 // The manager supports the operations the toolkit needs for exact power
 // analysis and logic optimization: Boolean connectives, cofactoring,
@@ -7,13 +8,13 @@
 // guarded-evaluation passes), composition, minterm counting, and exact
 // signal-probability evaluation given independent input probabilities.
 //
-// Nodes are referenced by integer handles (Ref). Refs 0 and 1 are the
-// constant functions. Variables are decoupled from levels through a
-// var2level/level2var permutation so the order can change at runtime:
-// Reorder applies Rudell-style sifting over in-place adjacent-level swaps,
-// which preserves every externally held Ref. Outside of reordering, nodes
-// are never freed; Reorder reclaims nodes unreachable from its root set
-// into a free list that mk reuses.
+// Nodes are referenced by integer handles (Ref) into the arena. Refs 0 and
+// 1 are the constant functions. Variables are decoupled from levels
+// through a var2level/level2var permutation so the order can change at
+// runtime: Reorder applies Rudell-style sifting over in-place
+// adjacent-level swaps, which preserves every externally held Ref.
+// Outside of reordering, nodes are never freed; Reorder reclaims nodes
+// unreachable from its root set into a free list that mk reuses.
 package bdd
 
 import (
@@ -37,6 +38,7 @@ const (
 type node struct {
 	level  int32 // position in the variable order; terminals use maxLevel
 	lo, hi Ref
+	next   Ref // next node of the same unique-subtable chain; 0 ends it
 }
 
 const (
@@ -45,16 +47,148 @@ const (
 	// reuse through the free list. Freed slots are unreachable from any
 	// live function, so no traversal ever observes this sentinel.
 	freeLevel = int32(-1)
+	// minHeads is the size of a unique subtable's first head array.
+	minHeads = 16
 )
 
-// pair is the per-level unique-table key. Keeping one table per level —
-// rather than one global table keyed by (level, lo, hi) — lets an
-// adjacent-level swap move an entire level wholesale by exchanging table
-// pointers, so reordering cost scales with the nodes that actually test
-// the moving variable.
-type pair struct{ lo, hi Ref }
+// subtable is the unique table of one level: a power-of-two array of
+// chain heads, chained through node.next. Ref 0 (False) is never an
+// internal node, so it ends every chain. Keeping one subtable per level —
+// rather than one table keyed by (level, lo, hi) — lets an adjacent-level
+// swap move a whole level by exchanging two subtables: a node's chain
+// depends only on (lo, hi), so the rising nodes are never rehashed.
+type subtable struct {
+	heads []Ref
+	n     int // nodes chained in
+}
 
-type iteKey struct{ f, g, h Ref }
+func hashPair(lo, hi Ref) uint32 {
+	return uint32((uint64(uint32(lo))<<32 | uint64(uint32(hi))) * 0x9E3779B97F4A7C15 >> 32)
+}
+
+// find returns the node (lo, hi) chained in t, or 0 when there is none.
+func (m *Manager) find(t *subtable, lo, hi Ref) Ref {
+	if t.n == 0 {
+		return 0
+	}
+	for r := t.heads[hashPair(lo, hi)&uint32(len(t.heads)-1)]; r != 0; r = m.nodes[r].next {
+		if n := &m.nodes[r]; n.lo == lo && n.hi == hi {
+			return r
+		}
+	}
+	return 0
+}
+
+// link chains node r, whose lo and hi are set, into t. The head array
+// doubles once t holds one node per head.
+func (m *Manager) link(t *subtable, r Ref) {
+	if t.n >= len(t.heads) {
+		m.rehash(t, max(2*len(t.heads), minHeads))
+	}
+	n := &m.nodes[r]
+	i := hashPair(n.lo, n.hi) & uint32(len(t.heads)-1)
+	n.next = t.heads[i]
+	t.heads[i] = r
+	t.n++
+}
+
+func (m *Manager) rehash(t *subtable, size int) {
+	heads := make([]Ref, size)
+	for _, r := range t.heads {
+		for r != 0 {
+			n := &m.nodes[r]
+			next := n.next
+			i := hashPair(n.lo, n.hi) & uint32(size-1)
+			n.next = heads[i]
+			heads[i] = r
+			r = next
+		}
+	}
+	t.heads = heads
+}
+
+// unlink removes node r from t's chains.
+func (m *Manager) unlink(t *subtable, r Ref) {
+	n := &m.nodes[r]
+	p := &t.heads[hashPair(n.lo, n.hi)&uint32(len(t.heads)-1)]
+	for *p != r {
+		if *p == 0 {
+			panic(fmt.Sprintf("bdd: node %d missing from its unique subtable", r))
+		}
+		p = &m.nodes[*p].next
+	}
+	*p = n.next
+	t.n--
+}
+
+// memoEntry is one ITE memo slot. f == 0 marks an empty slot: ITE
+// answers a constant f before it consults the memo.
+type memoEntry struct{ f, g, h, r Ref }
+
+// iteMemo is the ITE computed table: open addressing with linear probing,
+// grown at 3/4 load and cleared only by Reorder. It never drops an entry:
+// a lossy cache would recompute sub-ITEs and so change Steps, and with it
+// every MaxSteps trip point.
+type iteMemo struct {
+	tab []memoEntry // power-of-two length; nil until the first insert
+	n   int
+}
+
+// minMemo is the size of the memo's first allocation, kept small because
+// most managers in a flow are built for small cones.
+const minMemo = 64
+
+func hashTriple(f, g, h Ref) uint32 {
+	x := uint64(uint32(f))*0x9E3779B97F4A7C15 ^ uint64(uint32(g))*0xC2B2AE3D27D4EB4F ^ uint64(uint32(h))*0x165667B19E3779F9
+	return uint32(x >> 32)
+}
+
+func (c *iteMemo) get(f, g, h Ref) (Ref, bool) {
+	if c.n == 0 {
+		return 0, false
+	}
+	mask := uint32(len(c.tab) - 1)
+	for i := hashTriple(f, g, h) & mask; ; i = (i + 1) & mask {
+		e := &c.tab[i]
+		if e.f == f && e.g == g && e.h == h {
+			return e.r, true
+		}
+		if e.f == 0 {
+			return 0, false
+		}
+	}
+}
+
+// put records ITE(f, g, h) = r. ITE only puts a key it missed, and its
+// recursion never reaches the same key, so put never meets it already
+// stored.
+func (c *iteMemo) put(f, g, h, r Ref) {
+	if 4*(c.n+1) > 3*len(c.tab) {
+		old := c.tab
+		c.tab = make([]memoEntry, max(2*len(old), minMemo))
+		c.n = 0
+		for _, e := range old {
+			if e.f != 0 {
+				c.put(e.f, e.g, e.h, e.r)
+			}
+		}
+	}
+	mask := uint32(len(c.tab) - 1)
+	for i := hashTriple(f, g, h) & mask; ; i = (i + 1) & mask {
+		e := &c.tab[i]
+		if e.f == 0 {
+			*e = memoEntry{f, g, h, r}
+			c.n++
+			return
+		}
+	}
+}
+
+// reset empties the memo, keeping its array for reuse.
+func (c *iteMemo) reset() {
+	clear(c.tab)
+	c.n = 0
+}
 
 // metrics holds the manager's registry handles, captured at New. All
 // handles are nil (no-op) when observability is disabled.
@@ -85,6 +219,11 @@ func newMetrics() metrics {
 	}
 }
 
+// lookups counts a manager's unique-table and ITE-memo lookups.
+type lookups struct {
+	uniqueHits, uniqueMisses, iteHits, iteMisses int64
+}
+
 // Manager owns a set of BDD nodes over a fixed number of variables.
 // Variable i starts at level i (lower levels nearer the root); Reorder may
 // permute the order afterwards, tracked by var2level/level2var.
@@ -95,12 +234,21 @@ func newMetrics() metrics {
 // the manager and all results computed on it must then be discarded. A
 // manager whose budget never trips builds exactly the same node graph as
 // an unbudgeted one.
+//
+// Lookup counts are kept in plain fields, since a manager belongs to one
+// goroutine, and reach the process registry as one add per counter when
+// a build, Cut, Reorder or other top-level operation ends.
 type Manager struct {
 	nodes  []node
-	unique []map[pair]Ref // per-level unique tables, allocated lazily
-	iteC   map[iteKey]Ref
+	unique []subtable // per-level unique subtables
+	memo   iteMemo
 	nvars  int
 	met    metrics
+
+	counts    lookups // since New
+	published lookups // the part of counts already added to the registry
+	peak      int     // high-water live node count
+	batching  bool    // a build is running: publish once, at its end
 
 	// var2level[i] is the level variable i currently occupies;
 	// level2var is its inverse. Both start as the identity.
@@ -121,8 +269,7 @@ type Manager struct {
 // New creates a manager with nvars variables.
 func New(nvars int) *Manager {
 	m := &Manager{
-		unique:    make([]map[pair]Ref, nvars),
-		iteC:      make(map[iteKey]Ref),
+		unique:    make([]subtable, nvars),
 		nvars:     nvars,
 		met:       newMetrics(),
 		var2level: make([]int32, nvars),
@@ -151,17 +298,42 @@ func (m *Manager) Size() int { return m.live }
 func (m *Manager) AddVar() int {
 	m.var2level = append(m.var2level, int32(len(m.level2var)))
 	m.level2var = append(m.level2var, int32(m.nvars))
-	m.unique = append(m.unique, nil)
+	m.unique = append(m.unique, subtable{})
 	m.nvars++
 	return m.nvars - 1
 }
 
-// uniq returns the unique table of a level, allocating it on first use.
-func (m *Manager) uniq(level int32) map[pair]Ref {
-	if m.unique[level] == nil {
-		m.unique[level] = make(map[pair]Ref)
+// flush adds the lookups and node high-water not yet published to the
+// process registry.
+func (m *Manager) flush() {
+	add := func(c *obsv.Counter, now, was int64) {
+		if now != was {
+			c.Add(now - was)
+		}
 	}
-	return m.unique[level]
+	add(m.met.uniqueHits, m.counts.uniqueHits, m.published.uniqueHits)
+	add(m.met.uniqueMisses, m.counts.uniqueMisses, m.published.uniqueMisses)
+	add(m.met.iteHits, m.counts.iteHits, m.published.iteHits)
+	add(m.met.iteMisses, m.counts.iteMisses, m.published.iteMisses)
+	m.published = m.counts
+	m.met.nodes.Max(float64(m.peak))
+}
+
+// opDone publishes a finished top-level operation's counts, unless a
+// build is batching them.
+func (m *Manager) opDone() {
+	if !m.batching {
+		m.flush()
+	}
+}
+
+// batch defers publishing until the returned function runs.
+func (m *Manager) batch() (end func()) {
+	m.batching = true
+	return func() {
+		m.batching = false
+		m.flush()
+	}
 }
 
 // Order returns the current variable order: element l is the index of the
@@ -179,7 +351,9 @@ func (m *Manager) Var(i int) Ref {
 	if i < 0 || i >= m.nvars {
 		panic(fmt.Sprintf("bdd: Var(%d) out of range [0,%d)", i, m.nvars))
 	}
-	return m.mk(m.var2level[i], False, True)
+	r := m.mk(m.var2level[i], False, True)
+	m.opDone()
+	return r
 }
 
 // NVar returns the complement of variable i.
@@ -187,7 +361,9 @@ func (m *Manager) NVar(i int) Ref {
 	if i < 0 || i >= m.nvars {
 		panic(fmt.Sprintf("bdd: NVar(%d) out of range [0,%d)", i, m.nvars))
 	}
-	return m.mk(m.var2level[i], True, False)
+	r := m.mk(m.var2level[i], True, False)
+	m.opDone()
+	return r
 }
 
 // mk finds or creates the node (level, lo, hi), applying the reduction
@@ -199,29 +375,33 @@ func (m *Manager) mk(level int32, lo, hi Ref) Ref {
 	if m.checked && m.err != nil {
 		return False
 	}
-	tab := m.uniq(level)
-	k := pair{lo, hi}
-	if r, ok := tab[k]; ok {
-		m.met.uniqueHits.Inc()
+	t := &m.unique[level]
+	if r := m.find(t, lo, hi); r != 0 {
+		m.counts.uniqueHits++
 		return r
 	}
-	m.met.uniqueMisses.Inc()
-	var r Ref
-	if n := len(m.free); n > 0 {
-		r = m.free[n-1]
-		m.free = m.free[:n-1]
-		m.nodes[r] = node{level: level, lo: lo, hi: hi}
-	} else {
-		r = Ref(len(m.nodes))
-		m.nodes = append(m.nodes, node{level: level, lo: lo, hi: hi})
-	}
-	tab[k] = r
-	m.live++
-	m.met.nodes.Max(float64(m.live))
+	m.counts.uniqueMisses++
+	r := m.alloc(level, lo, hi)
+	m.link(t, r)
+	m.peak = max(m.peak, m.live)
 	if m.checked {
 		m.checkNodes()
 	}
 	return r
+}
+
+// alloc places the node (level, lo, hi) in the most recently freed slot,
+// or else at the end of the arena.
+func (m *Manager) alloc(level int32, lo, hi Ref) Ref {
+	m.live++
+	if n := len(m.free); n > 0 {
+		r := m.free[n-1]
+		m.free = m.free[:n-1]
+		m.nodes[r] = node{level: level, lo: lo, hi: hi}
+		return r
+	}
+	m.nodes = append(m.nodes, node{level: level, lo: lo, hi: hi})
+	return Ref(len(m.nodes) - 1)
 }
 
 func (m *Manager) level(r Ref) int32 { return m.nodes[r].level }
@@ -229,6 +409,12 @@ func (m *Manager) level(r Ref) int32 { return m.nodes[r].level }
 // ITE computes if-then-else: f ? g : h. All Boolean connectives reduce to
 // it.
 func (m *Manager) ITE(f, g, h Ref) Ref {
+	r := m.ite(f, g, h)
+	m.opDone()
+	return r
+}
+
+func (m *Manager) ite(f, g, h Ref) Ref {
 	// Terminal cases.
 	switch {
 	case f == True:
@@ -243,12 +429,11 @@ func (m *Manager) ITE(f, g, h Ref) Ref {
 	if m.checked && !m.checkStep() {
 		return False
 	}
-	k := iteKey{f, g, h}
-	if r, ok := m.iteC[k]; ok {
-		m.met.iteHits.Inc()
+	if r, ok := m.memo.get(f, g, h); ok {
+		m.counts.iteHits++
 		return r
 	}
-	m.met.iteMisses.Inc()
+	m.counts.iteMisses++
 	top := m.level(f)
 	if l := m.level(g); l < top {
 		top = l
@@ -259,15 +444,15 @@ func (m *Manager) ITE(f, g, h Ref) Ref {
 	f0, f1 := m.cofactors(f, top)
 	g0, g1 := m.cofactors(g, top)
 	h0, h1 := m.cofactors(h, top)
-	lo := m.ITE(f0, g0, h0)
-	hi := m.ITE(f1, g1, h1)
+	lo := m.ite(f0, g0, h0)
+	hi := m.ite(f1, g1, h1)
 	if m.checked && m.err != nil {
 		// The budget tripped somewhere below: lo/hi are placeholder False
-		// refs, so neither build a node from them nor poison the cache.
+		// refs, so neither build a node from them nor poison the memo.
 		return False
 	}
 	r := m.mk(top, lo, hi)
-	m.iteC[k] = r
+	m.memo.put(f, g, h, r)
 	return r
 }
 
@@ -359,6 +544,7 @@ func (m *Manager) Restrict(f Ref, i int, val bool) Ref {
 		return r
 	}
 	r := rec(f)
+	m.opDone()
 	if m.checked && m.err != nil {
 		return False
 	}
@@ -496,16 +682,46 @@ func (m *Manager) Probability(f Ref, p []float64) float64 {
 		if v, ok := memo[g]; ok {
 			return v
 		}
-		n := m.nodes[g]
-		pv := 0.5
-		if p != nil {
-			pv = p[m.level2var[n.level]]
-		}
-		v := pv*rec(n.hi) + (1-pv)*rec(n.lo)
+		v := m.shannon(g, p, rec(m.nodes[g].lo), rec(m.nodes[g].hi))
 		memo[g] = v
 		return v
 	}
 	return rec(f)
+}
+
+// Probabilities returns Probability(roots[i], p) for every root in one
+// pass: each node shared between the roots' cones is evaluated once, into
+// a flat table indexed by Ref. The values are bit-identical to separate
+// Probability calls. On a poisoned manager every value is 0.
+func (m *Manager) Probabilities(roots []Ref, p []float64) []float64 {
+	out := make([]float64, len(roots))
+	if m.checked && m.err != nil {
+		return out
+	}
+	val := make([]float64, len(m.nodes))
+	done := make([]bool, len(m.nodes))
+	val[True], done[False], done[True] = 1, true, true
+	var rec func(Ref) float64
+	rec = func(g Ref) float64 {
+		if !done[g] {
+			val[g] = m.shannon(g, p, rec(m.nodes[g].lo), rec(m.nodes[g].hi))
+			done[g] = true
+		}
+		return val[g]
+	}
+	for i, r := range roots {
+		out[i] = rec(r)
+	}
+	return out
+}
+
+// shannon combines the cofactor probabilities of internal node g.
+func (m *Manager) shannon(g Ref, p []float64, lo, hi float64) float64 {
+	pv := 0.5
+	if p != nil {
+		pv = p[m.level2var[m.nodes[g].level]]
+	}
+	return pv*hi + (1-pv)*lo
 }
 
 // AnySat returns one satisfying assignment of f (indexed by variable), or

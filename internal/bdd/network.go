@@ -67,8 +67,13 @@ func FromNetwork(ctx context.Context, nw *logic.Network, opt BuildOptions) (*Net
 	nb, err := fromNetwork(ctx, nw, opt)
 	if sp != nil {
 		if nb != nil {
-			sp.SetAttr("nodes", nb.M.Size())
-			sp.SetAttr("steps", nb.M.Steps())
+			m := nb.M
+			sp.SetAttr("nodes", m.Size())
+			sp.SetAttr("steps", m.Steps())
+			sp.SetAttr("unique_hits", m.counts.uniqueHits)
+			sp.SetAttr("unique_misses", m.counts.uniqueMisses)
+			sp.SetAttr("ite_hits", m.counts.iteHits)
+			sp.SetAttr("ite_misses", m.counts.iteMisses)
 		}
 		if opt.Reorder {
 			sp.SetAttr("reorder", true)
@@ -86,6 +91,7 @@ func fromNetwork(ctx context.Context, nw *logic.Network, opt BuildOptions) (*Net
 	m := New(len(srcs))
 	m.SetBudget(opt.Budget)
 	m.SetContext(ctx)
+	defer m.batch()()
 	nb := &NetworkBDDs{
 		M:     m,
 		VarOf: make(map[logic.NodeID]int, len(srcs)),
@@ -169,6 +175,7 @@ func build(ctx context.Context, m *Manager, nw *logic.Network, fn map[logic.Node
 // function z, and folds the rest of the network over it. The rebuilt
 // functions are returned in a new map; nb.Fn is left as it was.
 func (nb *NetworkBDDs) Cut(nw *logic.Network, id logic.NodeID) (map[logic.NodeID]Ref, int, error) {
+	defer nb.M.batch()()
 	z := nb.M.AddVar()
 	fn := make(map[logic.NodeID]Ref, len(nb.Fn))
 	for _, src := range nb.Vars {

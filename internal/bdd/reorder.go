@@ -23,7 +23,7 @@ type ReorderStats struct {
 // roots must list every Ref the caller still holds; everything not
 // reachable from them is garbage-collected into the manager's free list
 // first (external Refs in roots remain valid across the call — swaps
-// rewrite nodes in place). The ITE cache is invalidated.
+// rewrite nodes in place). The ITE memo is cleared.
 //
 // Reorder is budget-aware: swap work is charged against MaxSteps, the
 // node high-water is checked against MaxNodes, and the context is polled
@@ -67,7 +67,8 @@ func (m *Manager) Reorder(roots []Ref) (ReorderStats, error) {
 	if saved := st.Before - st.After; saved > 0 {
 		m.met.reorderSaved.Add(int64(saved))
 	}
-	m.met.nodes.Max(float64(m.live))
+	m.peak = max(m.peak, m.live)
+	m.opDone()
 	return st, err
 }
 
@@ -82,11 +83,23 @@ type sifter struct {
 	stampGen int32
 	size     int // live internal nodes
 	swaps    int
+
+	// swap's scratch, reused from one swap to the next.
+	deps  []depNode
+	indep []Ref
+}
+
+// depNode is a level-l node that tests the level-(l+1) variable on at
+// least one edge, captured with its cofactor quad before a swap.
+type depNode struct {
+	r                  Ref
+	f00, f01, f10, f11 Ref
+	oldLo, oldHi       Ref
 }
 
 // init builds reference counts from the arena, garbage-collects
 // everything unreachable from roots, populates the level buckets in Ref
-// order (deterministic), and invalidates the ITE cache, whose entries may
+// order (deterministic), and clears the ITE memo, whose entries may
 // reference reclaimed nodes.
 func (s *sifter) init(roots []Ref) {
 	m := s.m
@@ -121,7 +134,7 @@ func (s *sifter) init(roots []Ref) {
 			s.buckets[lv] = append(s.buckets[lv], r)
 		}
 	}
-	m.iteC = make(map[iteKey]Ref)
+	m.memo.reset()
 }
 
 // bucket returns the live nodes currently at level l, compacting stale
@@ -150,24 +163,16 @@ func (s *sifter) mkAt(level int32, lo, hi Ref) Ref {
 		return lo
 	}
 	m := s.m
-	tab := m.uniq(level)
-	k := pair{lo, hi}
-	if r, ok := tab[k]; ok {
+	t := &m.unique[level]
+	if r := m.find(t, lo, hi); r != 0 {
 		return r
 	}
-	var r Ref
-	if n := len(m.free); n > 0 {
-		r = m.free[n-1]
-		m.free = m.free[:n-1]
-		m.nodes[r] = node{level: level, lo: lo, hi: hi}
-	} else {
-		r = Ref(len(m.nodes))
-		m.nodes = append(m.nodes, node{level: level, lo: lo, hi: hi})
+	r := m.alloc(level, lo, hi)
+	if int(r) == len(s.rc) {
 		s.rc = append(s.rc, 0)
 		s.stamp = append(s.stamp, 0)
 	}
-	tab[k] = r
-	m.live++
+	m.link(t, r)
 	s.size++
 	if lo > 1 {
 		s.rc[lo]++
@@ -190,13 +195,13 @@ func (s *sifter) deref(g Ref) {
 	}
 }
 
-// freeNode reclaims an unreferenced node: its unique entry is removed,
-// the slot is pushed on the free list with the freeLevel sentinel, and
-// its children are dereferenced in cascade.
+// freeNode reclaims an unreferenced node: it is unlinked from its unique
+// subtable, the slot is pushed on the free list with the freeLevel
+// sentinel, and its children are dereferenced in cascade.
 func (s *sifter) freeNode(g Ref) {
 	m := s.m
 	n := m.nodes[g]
-	delete(m.unique[n.level], pair{n.lo, n.hi})
+	m.unlink(&m.unique[n.level], g)
 	m.nodes[g].level = freeLevel
 	m.free = append(m.free, g)
 	m.live--
@@ -209,29 +214,23 @@ func (s *sifter) freeNode(g Ref) {
 // level-l node independent of the lower variable just moves down a
 // level; a dependent one is rewritten as (y ? (x?f11:f01) : (x?f10:f00))
 // with freshly interned level-(l+1) cofactor nodes. The phase order —
-// capture cofactor quads, unhook both levels from the unique table,
-// re-intern the risers, re-intern the independent sinkers, rewrite the
-// dependent nodes, then release their old children — makes unique-table
-// collisions impossible mid-swap.
+// capture cofactor quads, empty level l's subtable and exchange the two,
+// re-link the independent sinkers, rewrite the dependent nodes, then
+// release their old children — makes unique-table collisions impossible
+// mid-swap.
 func (s *sifter) swap(l int) {
 	m := s.m
 	ll, lh := int32(l), int32(l+1)
 	xs := s.bucket(l)
 	ys := s.bucket(l + 1)
 
-	type depNode struct {
-		r                  Ref
-		f00, f01, f10, f11 Ref
-		oldLo, oldHi       Ref
-	}
-	var deps []depNode
-	var indep []Ref
+	s.deps, s.indep = s.deps[:0], s.indep[:0]
 	for _, x := range xs {
 		n := m.nodes[x]
 		loDep := m.nodes[n.lo].level == lh
 		hiDep := m.nodes[n.hi].level == lh
 		if !loDep && !hiDep {
-			indep = append(indep, x)
+			s.indep = append(s.indep, x)
 			continue
 		}
 		d := depNode{r: x, oldLo: n.lo, oldHi: n.hi}
@@ -245,38 +244,34 @@ func (s *sifter) swap(l int) {
 		} else {
 			d.f10, d.f11 = n.hi, n.hi
 		}
-		deps = append(deps, d)
+		s.deps = append(s.deps, d)
 	}
 
-	// Unhook every level-l node from its table, then move the whole
-	// level-(l+1) table up by a pointer exchange: the rising ys never pay
-	// a per-node rehash, so a swap costs O(|level l| + re-leveling).
-	tabX := m.uniq(ll)
-	for _, x := range xs {
-		n := m.nodes[x]
-		delete(tabX, pair{n.lo, n.hi})
-	}
+	// Every node of level l's subtable is in xs, so it empties in one
+	// step; then the two subtables trade places whole. The rising ys keep
+	// their chains, so a swap costs O(|level l| + re-leveling).
+	tx := &m.unique[ll]
+	clear(tx.heads)
+	tx.n = 0
 	m.unique[ll], m.unique[lh] = m.unique[lh], m.unique[ll]
 	for _, y := range ys {
 		m.nodes[y].level = ll
 	}
-	tabH := m.uniq(lh)
-	for _, x := range indep {
+	th := &m.unique[lh]
+	for _, x := range s.indep {
 		m.nodes[x].level = lh
-		n := m.nodes[x]
-		tabH[pair{n.lo, n.hi}] = x
+		m.link(th, x)
 	}
 
 	// Rebuild the two buckets: level l holds the risen ys plus the
 	// rewritten dependents (the ys slice moves wholesale); level l+1
-	// holds the independent sinkers plus whatever mkAt interns below.
+	// reuses the xs array for the independent sinkers plus whatever mkAt
+	// interns below.
 	s.buckets[l] = ys
-	newHi := make([]Ref, 0, len(indep))
-	newHi = append(newHi, indep...)
-	s.buckets[l+1] = newHi
+	s.buckets[l+1] = append(xs[:0], s.indep...)
 
-	tabL := m.uniq(ll)
-	for _, d := range deps {
+	tl := &m.unique[ll]
+	for _, d := range s.deps {
 		a0 := s.mkAt(lh, d.f00, d.f10)
 		a1 := s.mkAt(lh, d.f01, d.f11)
 		if a0 > 1 {
@@ -286,12 +281,12 @@ func (s *sifter) swap(l int) {
 			s.rc[a1]++
 		}
 		m.nodes[d.r] = node{level: ll, lo: a0, hi: a1}
-		tabL[pair{a0, a1}] = d.r
+		m.link(tl, d.r)
 		s.buckets[l] = append(s.buckets[l], d.r)
 	}
 	// Old children are released only after every dependent node has been
 	// rewritten: the captured quads must stay alive until the last one.
-	for _, d := range deps {
+	for _, d := range s.deps {
 		s.deref(d.oldLo)
 		s.deref(d.oldHi)
 	}

@@ -78,9 +78,15 @@ func ExactProbabilities(ctx context.Context, nw *logic.Network, inputProb Probab
 		}
 		pv[i] = p
 	}
-	out := make(Probabilities, len(nb.Fn))
+	ids := make([]logic.NodeID, 0, len(nb.Fn))
+	roots := make([]bdd.Ref, 0, len(nb.Fn))
 	for id, f := range nb.Fn {
-		out[id] = nb.M.Probability(f, pv)
+		ids = append(ids, id)
+		roots = append(roots, f)
+	}
+	out := make(Probabilities, len(nb.Fn))
+	for i, v := range nb.M.Probabilities(roots, pv) {
+		out[ids[i]] = v
 	}
 	obsv.Default().Counter("power.exact.nodes").Add(int64(len(nb.Fn)))
 	return out, nil
